@@ -16,6 +16,8 @@ The package provides:
 * :mod:`repro.model` — the analytic response time model of Sections 2/7;
 * :mod:`repro.measure` — the Table 1 penalty experiment and the Section 6
   workload runner;
+* :mod:`repro.sweep` — declarative sweeps, the result cache, and the one
+  way to run many simulations (``run_sweep``, ``run_to_confidence``);
 * :mod:`repro.reporting` — table and ASCII-figure rendering.
 
 Quickstart::
@@ -40,7 +42,6 @@ from repro.machine import SEQUENT_SYMMETRY, MachineSpec, future_machine
 from repro.measure import (
     MIXES,
     PenaltyExperiment,
-    compare_policies,
     make_jobs,
     run_mix,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "Policy",
     "SEQUENT_SYMMETRY",
     "SchedulingSystem",
-    "compare_policies",
     "future_machine",
     "make_jobs",
     "run_mix",

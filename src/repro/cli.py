@@ -41,7 +41,7 @@ from repro.core.policies import (
     EQUIPARTITION,
 )
 from repro.engine.rng import RngRegistry
-from repro.measure.runner import compare_policies, run_mix
+from repro.measure.runner import run_mix
 from repro.measure.workloads import MIXES
 from repro.model import (
     DEFAULT_PENALTIES,
@@ -335,15 +335,8 @@ def cmd_table4(args: argparse.Namespace) -> None:
 def cmd_future(args: argparse.Namespace) -> None:
     """Figures 8-13: the extended model on future machines."""
     model = FutureMachineModel(DEFAULT_PENALTIES)
-    for mix_id in _mix_ids(args):
-        comparison = compare_policies(
-            mix_id,
-            (EQUIPARTITION,) + _DYNAMIC_POLICIES,
-            replications=args.replications,
-            base_seed=args.seed,
-            workers=getattr(args, "workers", None),
-            collect_metrics=getattr(args, "metrics", False),
-        )
+    policies = (EQUIPARTITION,) + _DYNAMIC_POLICIES
+    for mix_id, comparison in _mix_sweep(args, "future", _mix_ids(args), policies):
         _print_comparison_metrics(comparison)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
@@ -478,11 +471,14 @@ def cmd_trace(args: argparse.Namespace) -> None:
 def cmd_opensys(args: argparse.Namespace) -> None:
     """Open-system (scenario x policy x seed) matrix, or an SWF replay.
 
-    Renders the seed-aggregated cell table; ``--json`` exports it,
-    ``--metrics`` prints per-cell merged snapshots (``--metrics-csv``
-    writes them as one wide CSV under a stable union header), and
-    ``--trace`` additionally runs one fully traced cell (first scenario,
-    first policy, base seed), self-checks the trace against the
+    Both run as one sweep — ``opensys`` cells for the built-in
+    scenarios, ``swf`` cells (keyed on the trace file's sha256) for
+    ``--swf`` — so ``--cache-dir`` serves either.  Renders the
+    seed-aggregated cell table; ``--json`` exports it, ``--metrics``
+    prints per-cell merged snapshots (``--metrics-csv`` writes them as
+    one wide CSV under a stable union header), and ``--trace``
+    additionally runs one fully traced cell (first scenario, first
+    policy, first seed of the matrix), self-checks the trace against the
     invariant and replay oracles, and writes it — exiting non-zero if
     either oracle objects, exactly like ``repro trace``.  ``--progress``
     streams live per-cell heartbeats to stderr while the sweep runs and
@@ -492,11 +488,11 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     from repro.reporting.obs_export import write_artifact
     from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
     from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+    from repro.sweep.cells import matrix_comparison
     from repro.sweep.spec import OPENSYS_SCENARIOS
     from repro.workloads.opensys import (
         SwfScenario,
         built_in_scenarios,
-        run_matrix,
         run_scenario,
     )
 
@@ -507,6 +503,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
 
     collector = None
     telemetry_sink = None
+    on_commit = None
     if args.progress:
         collector = TelemetryCollector()
 
@@ -514,39 +511,25 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             _collector(snapshot)
             print(progress_line(snapshot), file=sys.stderr)
 
-    if args.swf:
-        # SWF replays are file-shaped, not declaratively keyable: they run
-        # on the direct matrix runner, never through the result cache.
-        scenarios: typing.List[typing.Any] = [
-            SwfScenario.from_file(
-                args.swf,
-                time_scale=args.time_scale,
-                work_scale=args.work_scale,
-                max_jobs=args.max_jobs,
+        def on_commit(index, payloads):
+            print(
+                f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
+                file=sys.stderr,
             )
-        ]
-        on_commit = None
-        if args.progress:
-            def on_commit(index, batch):
-                print(
-                    f"[matrix] seed batch {index + 1}/{len(seed_values)} "
-                    "committed",
-                    file=sys.stderr,
-                )
 
-        comparison = run_matrix(
-            scenarios,
-            policies,
+    if args.swf:
+        spec = SweepSpec(
+            name="opensys-swf",
+            kind="swf",
+            swf=args.swf,
+            time_scale=args.time_scale,
+            work_scale=args.work_scale,
+            max_jobs=args.max_jobs,
+            policies=tuple(policy_names),
             seeds=seed_values,
             n_processors=args.processors,
-            workers=args.workers,
-            collect_metrics=collect_metrics,
-            telemetry=telemetry_sink,
-            on_commit=on_commit,
         )
     else:
-        from repro.sweep.cells import matrix_comparison
-
         spec = SweepSpec(
             name="opensys",
             kind="opensys",
@@ -560,24 +543,15 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             n_processors=args.processors,
             lite=args.lite,
         )
-        on_commit_shard = None
-        if args.progress:
-            def on_commit_shard(index, payloads):
-                print(
-                    f"[sweep] shard {index + 1} committed "
-                    f"({len(payloads)} cells)",
-                    file=sys.stderr,
-                )
-
-        sweep = run_sweep(
-            spec,
-            cache=_sweep_cache(args),
-            workers=args.workers,
-            collect_metrics=collect_metrics,
-            telemetry=telemetry_sink,
-            on_commit=on_commit_shard,
-        )
-        comparison = matrix_comparison(spec, sweep.payloads)
+    sweep = run_sweep(
+        spec,
+        cache=_sweep_cache(args),
+        workers=args.workers,
+        collect_metrics=collect_metrics,
+        telemetry=telemetry_sink,
+        on_commit=on_commit,
+    )
+    comparison = matrix_comparison(spec, sweep.payloads)
     print(render_matrix_table(comparison))
     if collector is not None:
         print(TELEMETRY_MARKER)
@@ -604,10 +578,15 @@ def cmd_opensys(args: argparse.Namespace) -> None:
         from repro.obs.invariants import check_trace
         from repro.obs.replay import verify_replay
         from repro.obs.store import write_columnar
-        from repro.reporting.obs_export import trace_to_jsonl, write_artifact
+        from repro.reporting.obs_export import trace_to_jsonl
 
         if args.swf:
-            trace_scenario = scenarios[0]
+            trace_scenario = SwfScenario.from_file(
+                args.swf,
+                time_scale=args.time_scale,
+                work_scale=args.work_scale,
+                max_jobs=args.max_jobs,
+            )
         else:
             trace_scenario = built_in_scenarios(
                 lite=args.lite, n_processors=args.processors
@@ -616,7 +595,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
         result = run_scenario(
             trace_scenario,
             policies[0],
-            seed=args.seed,
+            seed=seed_values[0],
             n_processors=args.processors,
             tracer=tracer,
         )
@@ -858,7 +837,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
           f"{sweep.n_computed} computed")
     print(f"journal: {sweep.journal_path}")
     payloads = sweep.payloads
-    if spec.kind == "opensys":
+    if spec.kind in ("opensys", "swf"):
         from repro.reporting.opensys_report import render_matrix_table
         from repro.sweep.cells import matrix_comparison
 
@@ -1065,8 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_os.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help=(
-            "run seeds across N worker processes; results are identical "
-            "to a serial run (default: serial)"
+            "compute cells across N worker processes; results are "
+            "identical to a serial run (default: serial)"
         ),
     )
     p_os.add_argument("--processors", type=int, default=16)
@@ -1101,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_os.add_argument(
         "--trace", type=str, default=None, metavar="FILE",
-        help="also run one traced cell (first scenario/policy, base seed), "
+        help="also run one traced cell (first scenario/policy, first seed), "
         "self-check it, and write the trace here",
     )
     p_os.add_argument(
@@ -1120,8 +1099,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_os.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
-        help="serve built-in (scenario, policy, seed) cells from this "
-        "content-addressed result cache (ignored for --swf replays)",
+        help="serve (scenario, policy, seed) cells from this "
+        "content-addressed result cache",
     )
     p_os.set_defaults(func=cmd_opensys)
 

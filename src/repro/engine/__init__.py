@@ -4,11 +4,10 @@ The engine is deliberately small and dependency free: a virtual clock, a
 cancellable binary-heap event queue with an explicit event lifecycle
 (``PENDING → FIRED | CANCELLED``), a run loop with trace hooks, seeded
 per-component random streams, the sample statistics (mean, confidence
-interval, replication driving) that the paper's methodology requires
-("enough replications of each experiment so that the 95% confidence
-interval is within 1% of the point estimate of the mean"), and a
-process-pool replication executor that parallelizes that stopping rule
-without changing its answers.
+interval, stopping rule) that the paper's methodology requires ("enough
+replications of each experiment so that the 95% confidence interval is
+within 1% of the point estimate of the mean"), and the ordered
+process-pool map the sweep executor fans cells out with.
 """
 
 from repro.engine.clock import VirtualClock
@@ -16,15 +15,13 @@ from repro.engine.events import Event, EventHandle, EventState
 from repro.engine.parallel import (
     BatchedConvergence,
     ConvergenceCriterion,
-    map_replications,
-    run_replications,
+    map_items,
 )
 from repro.engine.queue import EventQueue
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.engine.stats import (
     ConfidenceInterval,
-    ReplicationDriver,
     SampleStats,
     mean_confidence_interval,
 )
@@ -37,12 +34,10 @@ __all__ = [
     "EventHandle",
     "EventQueue",
     "EventState",
-    "ReplicationDriver",
     "RngRegistry",
     "SampleStats",
     "Simulator",
     "VirtualClock",
-    "map_replications",
+    "map_items",
     "mean_confidence_interval",
-    "run_replications",
 ]

@@ -3,12 +3,12 @@
 Layers: :mod:`repro.sweep.spec` (what to run), :mod:`repro.sweep.cache`
 (where results live and how they are keyed), :mod:`repro.sweep.cells`
 (how one cell runs and serializes), :mod:`repro.sweep.executor` (the
-resumable sharded driver).
+resumable sharded driver and the confidence-driven seed extension).
 
 Only the leaf ``spec``/``cache`` symbols are imported eagerly; the
 executor and cell runner pull in the full experiment stack — including
-:mod:`repro.workloads.opensys.scenario`, which itself imports
-:func:`~repro.sweep.spec.normalize_seeds` from this package — so they
+:mod:`repro.workloads.opensys.swf`, which itself imports
+:func:`~repro.sweep.spec.read_swf_bytes` from this package — so they
 load lazily (PEP 562) to keep that edge acyclic.
 """
 
@@ -37,6 +37,7 @@ __all__ = [
     "normalize_seeds",
     "parse_seeds_arg",
     "run_sweep",
+    "run_to_confidence",
     "spec_from_dict",
     "sweep_clean",
     "sweep_status",
@@ -44,6 +45,7 @@ __all__ = [
 
 _LAZY = {
     "run_sweep": "repro.sweep.executor",
+    "run_to_confidence": "repro.sweep.executor",
     "sweep_status": "repro.sweep.executor",
     "sweep_clean": "repro.sweep.executor",
     "CellOutcome": "repro.sweep.executor",

@@ -3,7 +3,8 @@
 The executor hands workers nothing but a :class:`~repro.sweep.spec.SweepCell`
 (kind + canonical config); :func:`run_cell` dispatches it to the
 existing experiment drivers — :func:`repro.measure.runner.run_mix`,
-:func:`repro.workloads.opensys.scenario.run_scenario`, or
+:func:`repro.workloads.opensys.scenario.run_scenario` (built-in
+scenarios and SWF replays), or
 :class:`repro.measure.penalty.PenaltyExperiment` — and packs the outcome
 into a plain-JSON payload the cache can persist.  Each driver is
 deterministic in the cell's config alone (every RNG stream is re-derived
@@ -13,8 +14,7 @@ whichever worker, shard, or session runs it.
 The ``*_from_dict`` inverses rebuild the original result dataclasses
 bit-for-bit (JSON floats round-trip exactly), and the ``*_comparison``
 assemblers regroup a sweep's payloads into the exact aggregate objects
-the report renderers already consume — byte-identical to what the
-pre-sweep per-figure loops produced.
+the report renderers already consume.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.workloads.opensys.scenario import (
     built_in_scenarios,
     run_scenario,
 )
+from repro.workloads.opensys.swf import SwfScenario
 
 #: cell -> result payload, as returned by the executor.
 PayloadMap = typing.Mapping[SweepCell, typing.Dict[str, typing.Any]]
@@ -226,6 +227,25 @@ def run_cell(
             heartbeat=heartbeat,
         )
         data = {"opensys": opensys_result_to_dict(result)}
+    elif cell.kind == "swf":
+        scenario = SwfScenario.from_file(
+            config["path"],
+            time_scale=config["time_scale"],
+            work_scale=config["work_scale"],
+            max_jobs=config["max_jobs"],
+            sha256=config["sha256"],
+        )
+        result = run_scenario(
+            scenario,
+            POLICIES_BY_NAME[config["policy"]],
+            seed=config["seed"],
+            n_processors=config["n_processors"],
+            tracer=tracer,
+            metrics=registry,
+            profiler=profiler,
+            heartbeat=heartbeat,
+        )
+        data = {"opensys": opensys_result_to_dict(result)}
     elif cell.kind == "table1":
         experiment = PenaltyExperiment(
             scale=config["scale"],
@@ -279,8 +299,7 @@ def mix_comparison(
     Rebuilds the per-seed :class:`Replication` objects (all of the
     spec's policies on the shared seed — the common-random-numbers
     pairing survives because every driver derives its streams from the
-    seed alone) and summarizes through the exact code path
-    ``compare_policies`` uses, so the output is byte-identical.
+    seed alone) and summarizes them in seed order.
     """
     replications = []
     for seed in spec.seeds:
@@ -315,46 +334,35 @@ def matrix_comparison(
 ) -> MatrixComparison:
     """Assemble the open-system :class:`MatrixComparison` from payloads.
 
-    Iterates seed-major then (scenario, policy) — the same commit order
-    ``run_matrix`` uses — so result tuples, first-seen scenario order,
-    and metric merge order (and therefore every downstream byte) match
-    the direct runner.
+    Serves ``opensys`` and ``swf`` specs alike.  Cells are folded
+    seed-major, then in (scenario, policy) expansion order, which fixes
+    the per-cell result tuples, the first-seen scenario order and the
+    metric merge order — so the matrix is the same for any worker count
+    and any mix of cache hits.
     """
+    seed_index = {seed: i for i, seed in enumerate(spec.seeds)}
+    cells_in_order = sorted(spec.expand(), key=lambda c: seed_index[c.seed])
     results: typing.Dict[
         typing.Tuple[str, str], typing.List[OpenSystemResult]
     ] = {}
     merged: typing.Dict[typing.Tuple[str, str], MetricsRegistry] = {}
-    for seed in spec.seeds:
-        for scenario in spec.scenarios:
-            for policy in spec.policies:
-                cell = SweepCell.make("opensys", {
-                    "scenario": scenario,
-                    "policy": policy,
-                    "seed": seed,
-                    "n_processors": spec.n_processors,
-                    "lite": spec.lite,
-                    "utilization": spec.utilization,
-                })
-                payload = payloads[cell]
-                key = (scenario, policy)
-                results.setdefault(key, []).append(
-                    opensys_result_from_dict(payload["data"]["opensys"])
-                )
-                snapshot = payload.get("metrics")
-                if snapshot is not None:
-                    merged.setdefault(key, MetricsRegistry()).merge_snapshot(
-                        snapshot
-                    )
-    cells = {
-        key: CellSummary.from_results(cell_results)
-        for key, cell_results in results.items()
-    }
+    for cell in cells_in_order:
+        payload = payloads[cell]
+        result = opensys_result_from_dict(payload["data"]["opensys"])
+        key = (result.scenario, result.policy)
+        results.setdefault(key, []).append(result)
+        snapshot = payload.get("metrics")
+        if snapshot is not None:
+            merged.setdefault(key, MetricsRegistry()).merge_snapshot(snapshot)
     return MatrixComparison(
         seeds=spec.seeds,
-        scenarios=spec.scenarios,
+        scenarios=tuple(dict.fromkeys(scenario for scenario, _ in results)),
         policies=spec.policies,
         results={key: tuple(value) for key, value in results.items()},
-        cells=cells,
+        cells={
+            key: CellSummary.from_results(cell_results)
+            for key, cell_results in results.items()
+        },
         metrics={key: reg.snapshot() for key, reg in merged.items()},
     )
 

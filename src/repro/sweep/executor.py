@@ -2,8 +2,10 @@
 
 :func:`run_sweep` expands a spec, asks the cache which cells already
 exist, partitions the *pending* cells into shards, and fans the shards
-out over the PR 1 ordered-commit process-pool runner
-(:func:`repro.engine.parallel.map_items`).  Workers persist each cell
+out over the ordered-commit process-pool map
+(:func:`repro.engine.parallel.map_items`).  :func:`run_to_confidence`
+grows a ``mix`` spec's seed axis through :func:`run_sweep` until the
+paper's confidence stopping rule holds.  Workers persist each cell
 into the cache as they finish it (result file last, atomically — the
 commit marker); the parent appends one journal line per completed cell
 as each shard commits, in shard order, before acknowledging the shard to
@@ -33,7 +35,12 @@ import math
 import os
 import typing
 
-from repro.engine.parallel import map_items, resolve_workers
+from repro.engine.parallel import (
+    BatchedConvergence,
+    ConvergenceCriterion,
+    map_items,
+    resolve_workers,
+)
 from repro.obs.telemetry import HeartbeatEmitter, TelemetryChannel, TelemetrySink
 from repro.sweep.cache import ResultCache, cell_key, code_fingerprint
 from repro.sweep.cells import run_cell, strip_transient
@@ -344,3 +351,92 @@ def sweep_clean(spec: SweepSpec, cache: ResultCache) -> int:
         if cache.evict(cell_key(cell, fingerprint)):
             removed += 1
     return removed
+
+
+def _seed_response_times(
+    outcomes: typing.Sequence[CellOutcome],
+) -> typing.Dict[str, float]:
+    """One seed's job response times, keyed ``mix/policy/job``."""
+    out: typing.Dict[str, float] = {}
+    for outcome in outcomes:
+        config = outcome.cell.config
+        jobs = outcome.payload["data"]["system"]["jobs"]
+        for name, job in jobs.items():
+            out[f"{config['mix']}/{config['policy']}/{name}"] = job["response_time"]
+    return out
+
+
+def run_to_confidence(
+    spec: SweepSpec,
+    target_relative: float = 0.01,
+    target_absolute: typing.Optional[float] = None,
+    min_seeds: int = 3,
+    max_seeds: int = 50,
+    cache: typing.Optional[ResultCache] = None,
+    workers: typing.Optional[int] = None,
+    collect_metrics: bool = False,
+) -> SweepResult:
+    """Extend a ``mix`` spec's seeds until the paper's stopping rule holds.
+
+    Section 6: "enough replications of each experiment so that the 95%
+    confidence interval is within 1% of the point estimate of the mean"
+    — applied to every (mix, policy, job) response time, with
+    ``max_seeds`` as a cap so pathological cases terminate (the paper
+    states none) and ``target_absolute`` as a half-width tolerance so a
+    degenerate zero-mean metric cannot stall convergence.
+
+    Seeds run from ``spec.seeds[0]`` upwards in waves of ``workers`` new
+    seeds, each wave one :func:`run_sweep` call.  Seeds are folded into
+    the rule one at a time in seed order, so the first converged prefix
+    of at least ``min_seeds`` is the one a serial run stops at, for any
+    worker count.  The result covers that prefix only, and its ``spec``
+    names the prefix's seeds; cells a wave computed past it stay in the
+    cache but are not returned.
+    """
+    if spec.kind != "mix":
+        raise ValueError(
+            f"run_to_confidence needs a 'mix' spec, got kind {spec.kind!r}"
+        )
+    if min_seeds < 2:
+        raise ValueError("need at least 2 seeds to form an interval")
+    if max_seeds < min_seeds:
+        raise ValueError("max_seeds must be >= min_seeds")
+    wave = resolve_workers(workers)
+    criterion = (
+        ConvergenceCriterion(target_relative)
+        if target_absolute is None
+        else ConvergenceCriterion(target_relative, target_absolute)
+    )
+    check: BatchedConvergence = BatchedConvergence(_seed_response_times, criterion)
+    first = spec.seeds[0]
+    committed: typing.List[typing.List[CellOutcome]] = []
+    journal_path: typing.Optional[str] = None
+    converged = False
+    while not converged and len(committed) < max_seeds:
+        start = first + len(committed)
+        seeds = tuple(range(start, start + min(wave, max_seeds - len(committed))))
+        sweep = run_sweep(
+            dataclasses.replace(spec, seeds=seeds),
+            cache=cache,
+            workers=workers,
+            collect_metrics=collect_metrics,
+        )
+        journal_path = sweep.journal_path
+        for seed in seeds:
+            committed.append([o for o in sweep.outcomes if o.cell.seed == seed])
+            if len(committed) >= min_seeds and check(committed):
+                converged = True
+                break
+    prefix = dataclasses.replace(
+        spec, seeds=tuple(range(first, first + len(committed)))
+    )
+    by_cell = {o.cell: o for seed_outcomes in committed for o in seed_outcomes}
+    outcomes = tuple(by_cell[cell] for cell in prefix.expand())
+    n_hits = sum(1 for o in outcomes if o.cached)
+    return SweepResult(
+        spec=prefix,
+        outcomes=outcomes,
+        n_hits=n_hits,
+        n_computed=len(outcomes) - n_hits,
+        journal_path=journal_path,
+    )

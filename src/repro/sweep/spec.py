@@ -20,7 +20,9 @@ Specs load from TOML (Python 3.11+) or JSON files; see :func:`load_spec`.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
 import typing
 
 from repro.core.policies import (
@@ -36,7 +38,7 @@ from repro.measure.workloads import MIXES
 SPEC_SCHEMA = "repro.sweep.spec/1"
 
 #: The cell kinds the executor knows how to run.
-CELL_KINDS = ("mix", "opensys", "table1")
+CELL_KINDS = ("mix", "opensys", "swf", "table1")
 
 #: Policy display name -> policy object (the sweep axes speak names).
 POLICIES_BY_NAME = {
@@ -45,9 +47,8 @@ POLICIES_BY_NAME = {
 }
 
 #: Names of the built-in open-system scenarios.  Hardcoded rather than
-#: imported so this module stays a leaf (the scenario module itself
-#: imports :func:`normalize_seeds` from here); a test pins the two lists
-#: together.
+#: imported so this module stays a leaf (the opensys package imports
+#: :func:`read_swf_bytes` from here); a test pins the two lists together.
 OPENSYS_SCENARIOS = ("steady", "bursty", "cancellations", "failures")
 
 #: The Table 1 applications and rescheduling quanta (paper defaults).
@@ -59,7 +60,7 @@ def normalize_seeds(
     seeds: typing.Union[int, typing.Sequence[int]],
     base_seed: int = 0,
 ) -> typing.Tuple[int, ...]:
-    """The one shared seed-axis validator (CLI, ``run_matrix``, specs).
+    """The one shared seed-axis validator (CLI and specs).
 
     ``seeds`` is either a *count* (``3`` -> ``base_seed .. base_seed+2``)
     or an explicit seed list.  Duplicate seeds are rejected, not deduped:
@@ -117,6 +118,28 @@ def canonical_json(payload: typing.Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def read_swf_bytes(path: str) -> typing.Tuple[bytes, str]:
+    """An SWF file's bytes and their sha256 hex digest.
+
+    The digest is what keys an ``swf`` cell: the cache serves a replay
+    only while the file's content is unchanged, whatever its mtime.
+
+    Raises:
+        ValueError: naming the path, when the file cannot be read.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read SWF trace {path!r}: {exc}") from exc
+    return data, hashlib.sha256(data).hexdigest()
+
+
+def swf_scenario_name(path: str) -> str:
+    """The scenario name an SWF replay reports: ``swf:<file name>``."""
+    return f"swf:{os.path.basename(path)}"
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class SweepCell:
     """One unit of sweep work: a kind plus its canonical config.
@@ -153,6 +176,8 @@ class SweepCell:
             return f"mix{c['mix']}/{c['policy']}/seed{c['seed']}"
         if self.kind == "opensys":
             return f"{c['scenario']}/{c['policy']}/seed{c['seed']}"
+        if self.kind == "swf":
+            return f"{swf_scenario_name(c['path'])}/{c['policy']}/seed{c['seed']}"
         return f"table1/{c['app']}/q{c['q_s']:g}/seed{c['seed']}"
 
 
@@ -166,6 +191,11 @@ class SweepSpec:
       ``n_processors`` CPUs;
     * ``"opensys"`` — ``scenarios`` (built-in names) x ``policies`` x
       ``seeds``, with ``lite``/``utilization`` shaping the scenario set;
+    * ``"swf"`` — ``policies`` x ``seeds`` replays of the Standard
+      Workload Format trace at path ``swf``, its submit times divided by
+      ``time_scale`` and runtimes by ``work_scale``, truncated to
+      ``max_jobs`` jobs (0 = all).  Each cell is keyed on the sha256 of
+      the file bytes, read at expansion;
     * ``"table1"`` — ``apps`` x ``quanta`` x ``seeds`` single-processor
       penalty measurements at fidelity ``scale``.
 
@@ -192,6 +222,11 @@ class SweepSpec:
     scenarios: typing.Tuple[str, ...] = ()
     lite: bool = False
     utilization: float = 0.5
+    # swf axes
+    swf: str = ""
+    time_scale: float = 1.0
+    work_scale: float = 1.0
+    max_jobs: int = 0
     # table1 axes
     apps: typing.Tuple[str, ...] = ()
     quanta: typing.Tuple[float, ...] = ()
@@ -204,6 +239,14 @@ class SweepSpec:
             raise ValueError(
                 f"unknown sweep kind {self.kind!r}; expected one of {CELL_KINDS}"
             )
+        for field in ("lite", "store_traces"):
+            value = getattr(self, field)
+            if not isinstance(value, bool):
+                raise ValueError(f"{field} must be true or false, got {value!r}")
+        for field in ("n_processors", "scale", "max_jobs"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         object.__setattr__(self, "seeds", normalize_seeds(self.seeds))
         for axis in ("policies", "mixes", "scenarios", "apps", "quanta"):
             values = getattr(self, axis)
@@ -218,7 +261,7 @@ class SweepSpec:
             raise ValueError(
                 f"backend must be 'scalar', 'numpy', or omitted, got {self.backend!r}"
             )
-        if self.kind in ("mix", "opensys"):
+        if self.kind in ("mix", "opensys", "swf"):
             if not self.policies:
                 raise ValueError(f"a {self.kind!r} sweep needs at least one policy")
             for policy in self.policies:
@@ -246,6 +289,19 @@ class SweepSpec:
                     )
             if not 0 < self.utilization < 1:
                 raise ValueError("utilization must be in (0, 1)")
+        elif self.kind == "swf":
+            if not self.swf:
+                raise ValueError("an 'swf' sweep needs the trace path in swf")
+            for field in ("time_scale", "work_scale"):
+                value = getattr(self, field)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{field} must be a number, got {value!r}")
+                # 4 and 4.0 replay identically, so they must key identically.
+                object.__setattr__(self, field, float(value))
+            if self.time_scale <= 0 or self.work_scale <= 0:
+                raise ValueError("time_scale and work_scale must be positive")
+            if self.max_jobs < 0:
+                raise ValueError("max_jobs must be non-negative")
         elif self.kind == "table1":
             apps = self.apps or TABLE1_APPS
             object.__setattr__(self, "apps", tuple(apps))
@@ -295,6 +351,20 @@ class SweepSpec:
                             "lite": self.lite,
                             "utilization": self.utilization,
                         }))
+        elif self.kind == "swf":
+            _, sha256 = read_swf_bytes(self.swf)
+            for policy in self.policies:
+                for seed in self.seeds:
+                    cells.append(SweepCell.make("swf", {
+                        "path": self.swf,
+                        "sha256": sha256,
+                        "time_scale": self.time_scale,
+                        "work_scale": self.work_scale,
+                        "max_jobs": self.max_jobs,
+                        "policy": policy,
+                        "seed": seed,
+                        "n_processors": self.n_processors,
+                    }))
         else:  # table1
             for app in self.apps:
                 for q_s in self.quanta:
@@ -320,7 +390,7 @@ class SweepSpec:
             "backend": self.backend,
             "store_traces": self.store_traces,
         }
-        if self.kind in ("mix", "opensys"):
+        if self.kind in ("mix", "opensys", "swf"):
             out["policies"] = list(self.policies)
         if self.kind == "mix":
             out["mixes"] = list(self.mixes)
@@ -328,6 +398,11 @@ class SweepSpec:
             out["scenarios"] = list(self.scenarios)
             out["lite"] = self.lite
             out["utilization"] = self.utilization
+        elif self.kind == "swf":
+            out["swf"] = self.swf
+            out["time_scale"] = self.time_scale
+            out["work_scale"] = self.work_scale
+            out["max_jobs"] = self.max_jobs
         else:
             out["apps"] = list(self.apps)
             out["quanta"] = list(self.quanta)
@@ -339,6 +414,7 @@ class SweepSpec:
 _SPEC_FIELDS = {
     "policies", "seeds", "n_processors", "backend", "store_traces",
     "mixes", "scenarios", "lite", "utilization", "apps", "quanta", "scale",
+    "swf", "time_scale", "work_scale", "max_jobs",
 }
 
 
@@ -374,7 +450,8 @@ def spec_from_dict(
                 raise ValueError(f"{source}: {field} must be a list")
             kwargs[field] = tuple(value)
     for field in ("n_processors", "backend", "store_traces", "lite",
-                  "utilization", "scale"):
+                  "utilization", "scale", "swf", "time_scale", "work_scale",
+                  "max_jobs"):
         if field in data:
             kwargs[field] = data[field]
     try:

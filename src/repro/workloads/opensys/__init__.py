@@ -11,8 +11,8 @@ The layer that takes the simulator beyond the paper's closed mixes:
 * :mod:`~repro.workloads.opensys.swf` — Standard Workload Format trace
   ingestion and replay;
 * :mod:`~repro.workloads.opensys.scenario` — the :class:`Scenario`
-  recipe, the (policy × scenario × seed) matrix runner, and the four
-  built-in scenario shapes.
+  recipe, the one-cell runner, the (policy × scenario × seed) matrix
+  summaries, and the four built-in scenario shapes.
 
 Everything is driven by named rng substreams and pre-sampled timelines,
 so a scenario instance is a pure function of (name, seed, machine size):
@@ -46,7 +46,6 @@ from repro.workloads.opensys.scenario import (
     ScenarioInstance,
     built_in_scenarios,
     quantile,
-    run_matrix,
     run_scenario,
 )
 from repro.workloads.opensys.swf import (
@@ -82,6 +81,5 @@ __all__ = [
     "load_swf",
     "parse_swf",
     "quantile",
-    "run_matrix",
     "run_scenario",
 ]

@@ -37,6 +37,7 @@ import typing
 
 from repro.machine.footprint import FootprintCurve
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
+from repro.sweep.spec import read_swf_bytes, swf_scenario_name
 from repro.threads.graph import ThreadGraph
 from repro.threads.job import Job
 
@@ -59,7 +60,13 @@ class SwfFormatError(ValueError):
     def __init__(self, source: str, line_no: int, message: str) -> None:
         self.source = source
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{source}:{line_no}: {message}")
+
+    def __reduce__(self) -> typing.Tuple[typing.Any, ...]:
+        # Rebuild from the constructor's arguments, so the error survives
+        # the trip home from a worker process intact.
+        return type(self), (self.source, self.line_no, self.message)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,12 +185,27 @@ class SwfScenario:
         time_scale: float = 1.0,
         work_scale: float = 1.0,
         max_jobs: int = 0,
+        sha256: typing.Optional[str] = None,
     ) -> "SwfScenario":
-        """Load ``path`` and wrap it as a scenario named after the file."""
-        name = path.rsplit("/", 1)[-1]
+        """Load ``path`` and wrap it as a scenario named after the file.
+
+        With ``sha256``, the file's bytes must still hash to it: an
+        ``swf`` sweep cell is keyed on that digest, so replaying a file
+        edited since expansion would store a result under a stale key.
+
+        Raises:
+            ValueError: naming ``path``, when it cannot be read or its
+                content no longer matches ``sha256``.
+        """
+        data, digest = read_swf_bytes(path)
+        if sha256 is not None and digest != sha256:
+            raise ValueError(
+                f"{path}: SWF trace changed since the sweep was expanded "
+                f"(sha256 {digest}, expected {sha256}); rerun to re-key it"
+            )
         return cls(
-            name=f"swf:{name}",
-            jobs=tuple(load_swf(path)),
+            name=swf_scenario_name(path),
+            jobs=tuple(parse_swf(data.decode("utf-8"), source=path)),
             time_scale=time_scale,
             work_scale=work_scale,
             max_jobs=max_jobs,

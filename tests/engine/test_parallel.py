@@ -1,15 +1,18 @@
-"""The process-pool replication executor and its serial equivalence."""
+"""The ordered process-pool map and the paper's stopping rule."""
+
+import random
 
 import pytest
 
 from repro.engine.parallel import (
     BatchedConvergence,
     ConvergenceCriterion,
-    map_replications,
+    map_items,
     resolve_workers,
-    run_replications,
 )
-from repro.engine.stats import ConfidenceInterval, ReplicationDriver, SampleStats
+from repro.engine.stats import ConfidenceInterval, SampleStats
+from repro.sweep import ResultCache, SweepSpec, run_sweep, run_to_confidence
+from repro.sweep.cells import mix_comparison
 
 
 def _square(replication):
@@ -17,9 +20,13 @@ def _square(replication):
     return replication * replication
 
 
-def _metric(replication):
-    """Deterministic pseudo-noisy metric keyed only by the replication index."""
-    return {"rt": 100.0 + ((replication * 37) % 11) * 0.01}
+def _identity(metrics):
+    return metrics
+
+
+def _prefixes(values):
+    """Every non-empty prefix of ``values``, shortest first."""
+    return [values[:n] for n in range(1, len(values) + 1)]
 
 
 class TestResolveWorkers:
@@ -81,68 +88,145 @@ class TestBatchedConvergence:
         check = BatchedConvergence(lambda m: m, ConvergenceCriterion(1.0, 1.0))
         assert check([]) is False
 
+    def test_constant_metric_converges_at_once(self):
+        check = BatchedConvergence(_identity, ConvergenceCriterion())
+        assert check([{"rt": 10.0}] * 3)
+        assert check.samples["rt"].mean == pytest.approx(10.0)
+
+    def test_noisy_metric_never_converges(self):
+        rng = random.Random(0)
+        values = [{"rt": rng.uniform(0, 1000)} for _ in range(8)]
+        check = BatchedConvergence(_identity, ConvergenceCriterion(1e-6))
+        assert not any(check(prefix) for prefix in _prefixes(values))
+
+    def test_every_metric_must_converge(self):
+        values = [{"stable": 1.0, "noisy": 100.0 + 100.0 * (i % 2)}
+                  for i in range(6)]
+        check = BatchedConvergence(_identity, ConvergenceCriterion())
+        assert not any(check(prefix) for prefix in _prefixes(values))
+        criterion = ConvergenceCriterion()
+        assert criterion.interval_converged(
+            check.samples["stable"].confidence_interval()
+        )
+
+    def test_zero_mean_converges_via_absolute_tolerance(self):
+        """Regression: a mean-zero metric has infinite relative half-width,
+        which used to stall convergence until the seed cap every time."""
+        values = [{"delta": 1e-12 if i % 2 else -1e-12} for i in range(3)]
+        check = BatchedConvergence(_identity, ConvergenceCriterion())
+        assert check(values)
+
+    def test_absolute_tolerance_can_be_tightened(self):
+        values = [{"delta": 0.5 if i % 2 else -0.5} for i in range(10)]
+        check = BatchedConvergence(_identity, ConvergenceCriterion(0.01, 0.0))
+        assert not any(check(prefix) for prefix in _prefixes(values))
+
+    def test_absolute_tolerance_is_adjustable(self):
+        values = [{"delta": 0.5 if i % 2 else -0.5} for i in range(3)]
+        check = BatchedConvergence(_identity, ConvergenceCriterion(0.01, 10.0))
+        assert check(values)  # wide tolerance: converged at the floor
+
+
+def _mix1_spec(policies=("Equipartition",), seeds=(0,)):
+    return SweepSpec(
+        name="waves", kind="mix", mixes=(1,), policies=policies, seeds=seeds
+    )
+
 
 class TestRunReplications:
-    def test_serial_stops_at_first_converged_prefix(self):
-        seen = []
+    """Replications run in seed waves to the stopping rule
+    (:func:`repro.sweep.run_to_confidence`)."""
 
-        def run_once(replication):
-            seen.append(replication)
-            return replication
-
-        results = run_replications(run_once, 2, 10, lambda c: len(c) >= 4)
-        assert results == [0, 1, 2, 3]
-        assert seen == [0, 1, 2, 3]
+    def test_serial_stops_at_first_converged_prefix(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        result = run_to_confidence(
+            _mix1_spec(), target_relative=0.5, min_seeds=3, cache=cache
+        )
+        assert result.spec.seeds == (0, 1, 2)
+        # Serial waves are one seed wide: nothing ran past the prefix.
+        assert len(list((tmp_path / "cache").glob("*/*/result.json"))) == 3
 
     def test_serial_runs_to_cap_when_never_converged(self):
-        results = run_replications(lambda r: r, 2, 5, lambda c: False)
-        assert results == [0, 1, 2, 3, 4]
+        result = run_to_confidence(
+            _mix1_spec(seeds=(4,)), target_relative=1e-9, target_absolute=0.0,
+            min_seeds=2, max_seeds=4,
+        )
+        assert result.spec.seeds == (4, 5, 6, 7)
 
     def test_parallel_commits_in_replication_order(self):
-        results = run_replications(_square, 2, 8, lambda c: False, workers=3)
-        assert results == [r * r for r in range(8)]
+        spec = _mix1_spec(policies=("Equipartition", "Dyn-Aff"))
+        result = run_to_confidence(
+            spec, target_relative=1e-9, target_absolute=0.0, min_seeds=2,
+            max_seeds=5, workers=3,
+        )
+        assert [o.cell.seed for o in result.outcomes] == [0, 1, 2, 3, 4] * 2
+        assert result.payloads == run_sweep(result.spec).payloads
 
-    def test_parallel_stops_at_same_prefix_as_serial(self):
-        converged = lambda committed: len(committed) >= 3
-        serial = run_replications(_square, 2, 10, converged)
-        parallel = run_replications(_square, 2, 10, converged, workers=4)
-        assert parallel == serial == [0, 1, 4]
+    def test_parallel_stops_at_same_prefix_as_serial(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        kwargs = dict(target_relative=0.5, min_seeds=3)
+        serial = run_to_confidence(_mix1_spec(), **kwargs)
+        # Waves of two seeds: 0-1, then 2-3.  The rule holds at the
+        # 3-seed floor, so seed 3 ran but lies past the prefix: it stays
+        # cached and is not returned.
+        parallel = run_to_confidence(_mix1_spec(), workers=2, cache=cache, **kwargs)
+        assert parallel.spec.seeds == serial.spec.seeds == (0, 1, 2)
+        assert parallel.payloads == serial.payloads
+        assert (parallel.n_computed, parallel.n_hits) == (3, 0)
+        warm = run_to_confidence(
+            _mix1_spec(seeds=(3,)), min_seeds=2, max_seeds=2, cache=cache,
+            target_relative=0.5,
+        )
+        assert [o.cached for o in warm.outcomes] == [True, False]
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
-            run_replications(_square, 0, 5, lambda c: True)
+            run_to_confidence(_mix1_spec(), min_seeds=0)
         with pytest.raises(ValueError):
-            run_replications(_square, 5, 3, lambda c: True)
-
-
-class TestMapReplications:
-    def test_serial(self):
-        assert map_replications(_square, 4) == [0, 1, 4, 9]
-
-    def test_parallel_equals_serial(self):
-        assert map_replications(_square, 6, workers=3) == map_replications(_square, 6)
-
-    def test_zero_count(self):
-        assert map_replications(_square, 0, workers=2) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            map_replications(_square, -1)
+            run_to_confidence(_mix1_spec(), min_seeds=5, max_seeds=3)
 
 
 class TestReplicationDriverParallel:
+    """Replication parallelism leaves the stopping rule's intervals
+    untouched (the driver is :func:`repro.sweep.run_to_confidence`)."""
+
     def test_parallel_intervals_equal_serial(self):
-        serial = ReplicationDriver(
-            _metric, target_relative=0.001, min_replications=3, max_replications=12
-        ).run()
-        parallel = ReplicationDriver(
-            _metric,
-            target_relative=0.001,
-            min_replications=3,
-            max_replications=12,
-            workers=2,
-        ).run()
-        assert serial.keys() == parallel.keys()
-        assert serial["rt"].n == parallel["rt"].n
-        assert serial["rt"].mean == parallel["rt"].mean
-        assert serial["rt"].half_width == parallel["rt"].half_width
+        kwargs = dict(target_relative=0.001, min_seeds=3, max_seeds=12)
+        serial = run_to_confidence(_mix1_spec(), **kwargs)
+        parallel = run_to_confidence(_mix1_spec(), workers=2, **kwargs)
+        expected = mix_comparison(serial.spec, serial.payloads, 1)
+        got = mix_comparison(parallel.spec, parallel.payloads, 1)
+        assert got.n_replications == expected.n_replications
+        summaries = expected.summaries["Equipartition"]
+        assert summaries.keys() == got.summaries["Equipartition"].keys()
+        for job, summary in summaries.items():
+            rt = got.summaries["Equipartition"][job].response_time
+            assert rt.n == summary.response_time.n
+            assert rt.mean == summary.response_time.mean
+            assert rt.half_width == summary.response_time.half_width
+
+
+class TestMapReplications:
+    """map_items: the ordered fan-out that sweep shards run on."""
+
+    def test_serial(self):
+        assert map_items(_square, range(4)) == [0, 1, 4, 9]
+
+    def test_parallel_equals_serial(self):
+        assert map_items(_square, range(6), workers=3) == map_items(_square, range(6))
+
+    def test_zero_count(self):
+        assert map_items(_square, [], workers=2) == []
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            map_items(_square, range(3), workers=-1)
+
+    def test_commits_in_item_order(self):
+        commits = []
+        results = map_items(
+            _square, range(8), workers=3,
+            on_commit=lambda i, r: commits.append((i, r)),
+        )
+        assert results == [r * r for r in range(8)]
+        assert commits == list(enumerate(results))

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
 from repro.measure.runner import (
-    compare_policies,
+    Replication,
+    comparison_from_replications,
     relative_response_times,
     run_mix,
 )
@@ -35,12 +36,19 @@ class TestRunMix:
         assert run_mix(SMALL_MIX, DYN_AFF, seed=0).policy == "Dyn-Aff"
 
 
+def _compare(mix, policies, seeds):
+    """Every policy on each shared seed, summarized in seed order."""
+    return comparison_from_replications(mix, [
+        Replication(jobs={p.name: dict(run_mix(mix, p, seed=seed).jobs)
+                          for p in policies})
+        for seed in seeds
+    ])
+
+
 class TestComparePolicies:
     @pytest.fixture(scope="class")
     def comparison(self):
-        return compare_policies(
-            SMALL_MIX, [EQUIPARTITION, DYNAMIC], replications=3, base_seed=0
-        )
+        return _compare(SMALL_MIX, [EQUIPARTITION, DYNAMIC], seeds=range(3))
 
     def test_summaries_per_policy_per_job(self, comparison):
         assert set(comparison.policies()) == {"Equipartition", "Dynamic"}
@@ -70,7 +78,7 @@ class TestComparePolicies:
 
     def test_invalid_replications(self):
         with pytest.raises(ValueError):
-            compare_policies(SMALL_MIX, [DYNAMIC], replications=0)
+            comparison_from_replications(SMALL_MIX, [])
 
     def test_job_summary_app_property(self, comparison):
         assert comparison.summaries["Dynamic"]["MVA"].app == "MVA"

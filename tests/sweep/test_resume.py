@@ -63,13 +63,22 @@ def _kill_mid_sweep(cache_dir, workers):
     env = dict(os.environ, PYTHONPATH=SRC)
     # No pipes: orphaned pool workers inherit them and would keep a
     # capture-based wait from ever seeing EOF after the parent dies.
-    proc = subprocess.run(
+    # A session of its own lets the orphans be reaped as one group.
+    proc = subprocess.Popen(
         [sys.executable, "-c", VICTIM,
          json.dumps(_spec().to_dict()), str(cache_dir), str(workers)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        timeout=120,
+        start_new_session=True,
     )
-    assert proc.returncode == -signal.SIGKILL
+    try:
+        returncode = proc.wait(timeout=120)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # no pool workers outlived the victim
+        proc.wait()
+    assert returncode == -signal.SIGKILL
 
 
 @pytest.mark.parametrize("workers", [1, 2])

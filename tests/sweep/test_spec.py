@@ -252,6 +252,21 @@ class TestSpecDocuments:
         with pytest.raises(ValueError, match="table/object"):
             spec_from_dict(["not", "a", "spec"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("lite", "false"),  # a truthy string would run the lite scenarios
+        ("lite", 1),
+        ("store_traces", "false"),
+        ("n_processors", 16.0),  # same simulation, different cache key
+        ("n_processors", True),
+        ("scale", 16.5),
+        ("max_jobs", 2.0),
+    ])
+    def test_wrong_types_rejected_naming_source_and_field(self, field, value):
+        data = _opensys_spec().to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=rf"^spec.json: {field} must be"):
+            spec_from_dict(data, source="spec.json")
+
 
 class TestLoadSpec:
     def test_json_roundtrip(self, tmp_path):

@@ -5,8 +5,8 @@ The contracts under test:
 * a scenario instance is a pure function of (name, seed, machine size) —
   re-instantiating or re-running produces bit-identical timelines,
   traces, and metrics;
-* the seed-parallel matrix runner is chunking-invariant — any worker
-  count produces output bit-identical to a serial sweep;
+* the matrix sweep is chunking-invariant — any worker count and shard
+  size produces output bit-identical to a serial sweep;
 * arrival processes are prefix-stable — extending the horizon never
   rewrites history, which is exactly why parallel chunking can work;
 * utilization targeting holds — the offered load of a Poisson stream
@@ -24,9 +24,10 @@ from repro.workloads.opensys import (
     DiurnalArrivals,
     PoissonArrivals,
     built_in_scenarios,
-    run_matrix,
     run_scenario,
 )
+from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+from repro.sweep.cells import matrix_comparison
 
 P = 8
 SCENARIO_NAMES = ("steady", "bursty", "cancellations", "failures")
@@ -92,24 +93,28 @@ def test_instance_is_policy_free(scenario_name, seed):
     seeds=st.integers(2, 3),
     workers=st.sampled_from([2, 3]),
     base_seed=st.integers(0, 50),
+    shard_size=st.integers(1, 4),
 )
 @settings(
     max_examples=5,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_matrix_workers_bit_identical_to_serial(names, seeds, workers, base_seed):
-    """run_matrix output is invariant to the worker count (any chunking)."""
-    scenarios = [_scenario(name) for name in sorted(names)]
-    policies = [DYN_AFF, EQUIPARTITION]
-    serial = run_matrix(
-        scenarios, policies, seeds=seeds, base_seed=base_seed,
-        n_processors=P, workers=None, collect_metrics=True,
+def test_matrix_workers_bit_identical_to_serial(
+    names, seeds, workers, base_seed, shard_size
+):
+    """The matrix sweep is invariant to the worker count and shard size."""
+    spec = SweepSpec(
+        name="matrix", kind="opensys", scenarios=tuple(sorted(names)),
+        policies=(DYN_AFF.name, EQUIPARTITION.name),
+        seeds=normalize_seeds(seeds, base_seed), n_processors=P, lite=True,
     )
-    parallel = run_matrix(
-        scenarios, policies, seeds=seeds, base_seed=base_seed,
-        n_processors=P, workers=workers, collect_metrics=True,
+    serial = matrix_comparison(
+        spec, run_sweep(spec, collect_metrics=True).payloads
     )
+    parallel = matrix_comparison(spec, run_sweep(
+        spec, workers=workers, collect_metrics=True, shard_size=shard_size
+    ).payloads)
     assert serial.results == parallel.results
     assert serial.cells == parallel.cells
     assert serial.metrics == parallel.metrics
