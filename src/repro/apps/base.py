@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import abc
+import functools
 import random
-
 import typing
 
 from repro.machine.footprint import FootprintCurve
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.apps.reference import ReferenceSpec
 from repro.threads.data_affinity import DataAffinitySpec
-from repro.threads.graph import ThreadGraph
+from repro.threads.graph import GraphShape, ThreadGraph
 from repro.threads.job import Job
 
 
@@ -39,8 +39,25 @@ class AppSpec(abc.ABC):
         """Construct a fresh thread dependence graph instance.
 
         Thread service times may be jittered through ``rng`` so that
-        replications see statistically-varying workloads.
+        replications see statistically-varying workloads.  Specs whose
+        structure does not depend on ``rng`` build it once with
+        :meth:`layout` and instantiate :attr:`shape` with fresh service
+        times; others may build every graph from scratch.
         """
+
+    def layout(self) -> ThreadGraph:
+        """The graph's structure (threads, dependencies, phases, data groups).
+
+        Service times in the layout are ignored.  Only specs that use
+        :attr:`shape` implement it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no fixed layout")
+
+    @functools.cached_property
+    def shape(self) -> GraphShape:
+        """The compiled :meth:`layout`: built on first use, then shared by
+        every graph this spec instantiates."""
+        return self.layout().shape
 
     def footprint_curve(self, machine: MachineSpec = SEQUENT_SYMMETRY) -> FootprintCurve:
         """Working-set growth law on ``machine`` (derived from the reference model)."""

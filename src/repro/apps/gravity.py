@@ -88,41 +88,50 @@ class GravitySpec(AppSpec):
     def max_parallelism_hint(self) -> int:
         return max(phase.n_threads for phase in self.params.phases)
 
-    def build_graph(self, rng: random.Random) -> ThreadGraph:
+    def layout(self) -> ThreadGraph:
         """Chain of time steps, each: sequential -> 4 barrier-separated phases."""
         p = self.params
         graph = ThreadGraph(name=self.name)
         previous_join: typing.Optional[int] = None
         for step in range(p.n_timesteps):
-            sequential = graph.add_thread(
-                p.sequential_service_s, phase=f"step{step}/treebuild"
-            )
+            sequential = graph.add_thread(0.0, phase=f"step{step}/treebuild")
             if previous_join is not None:
                 graph.add_dependency(previous_join, sequential)
             fan_in = sequential
             for phase in p.phases:
-                contention = CriticalSectionModel(phase.critical_fraction)
+                label = f"step{step}/{phase.name}"
                 thread_ids = []
                 for body_partition in range(phase.n_threads):
-                    jitter = 1.0 + phase.service_jitter * (2.0 * rng.random() - 1.0)
-                    service = contention.inflated_service(
-                        phase.mean_service_s * jitter, phase.n_threads
-                    )
                     # Thread i of every phase and time step works on body
                     # partition i: the data-affinity tag the user-level
                     # thread layer can exploit (Section 9 future work).
-                    tid = graph.add_thread(
-                        service,
-                        phase=f"step{step}/{phase.name}",
-                        data_group=body_partition,
-                    )
+                    tid = graph.add_thread(0.0, phase=label, data_group=body_partition)
                     graph.add_dependency(fan_in, tid)
                     thread_ids.append(tid)
-                fan_in = add_barrier(
-                    graph, thread_ids, phase=f"step{step}/{phase.name}-barrier"
-                )
+                fan_in = add_barrier(graph, thread_ids, phase=f"{label}-barrier")
             previous_join = fan_in
         return graph
+
+    def build_graph(self, rng: random.Random) -> ThreadGraph:
+        """The layout with jittered, contention-inflated thread times.
+
+        Service times follow the layout's thread order: per time step the
+        sequential tree build, then each phase's threads and its
+        zero-service barrier.
+        """
+        p = self.params
+        services: typing.List[float] = []
+        for _ in range(p.n_timesteps):
+            services.append(p.sequential_service_s)
+            for phase in p.phases:
+                contention = CriticalSectionModel(phase.critical_fraction)
+                for _ in range(phase.n_threads):
+                    jitter = 1.0 + phase.service_jitter * (2.0 * rng.random() - 1.0)
+                    services.append(contention.inflated_service(
+                        phase.mean_service_s * jitter, phase.n_threads
+                    ))
+                services.append(0.0)
+        return ThreadGraph(self.name, self.shape, services)
 
 
 #: Default instance used by the paper's workload mixes.

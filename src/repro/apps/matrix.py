@@ -64,14 +64,21 @@ class MatrixSpec(AppSpec):
     def max_parallelism_hint(self) -> int:
         return self.params.n_blocks
 
-    def build_graph(self, rng: random.Random) -> ThreadGraph:
+    def layout(self) -> ThreadGraph:
         """A flat fan: one independent thread per output block."""
-        p = self.params
         graph = ThreadGraph(name=self.name)
-        for _ in range(p.n_blocks):
-            jitter = 1.0 + p.service_jitter * (2.0 * rng.random() - 1.0)
-            graph.add_thread(p.mean_service_s * jitter, phase="multiply")
+        for _ in range(self.params.n_blocks):
+            graph.add_thread(0.0, phase="multiply")
         return graph
+
+    def build_graph(self, rng: random.Random) -> ThreadGraph:
+        """The flat fan with each block's service time jittered."""
+        p = self.params
+        services = [
+            p.mean_service_s * (1.0 + p.service_jitter * (2.0 * rng.random() - 1.0))
+            for _ in range(p.n_blocks)
+        ]
+        return ThreadGraph(self.name, self.shape, services)
 
 
 #: Default instance used by the paper's workload mixes.

@@ -66,19 +66,15 @@ class MvaSpec(AppSpec):
     def max_parallelism_hint(self) -> int:
         return min(self.params.customers, self.params.stations)
 
-    def build_graph(self, rng: random.Random) -> ThreadGraph:
-        """The (customers x stations) wavefront grid."""
+    def layout(self) -> ThreadGraph:
+        """The (customers x stations) wavefront grid, cells in row order."""
         p = self.params
         graph = ThreadGraph(name=self.name)
         ids = [[0] * p.stations for _ in range(p.customers)]
         for n in range(p.customers):
             for k in range(p.stations):
-                jitter = 1.0 + p.service_jitter * (2.0 * rng.random() - 1.0)
-                service = p.mean_service_s * jitter
                 # Column k's cells share the station-k data (data group).
-                ids[n][k] = graph.add_thread(
-                    service, phase=f"wave{n + k}", data_group=k
-                )
+                ids[n][k] = graph.add_thread(0.0, phase=f"wave{n + k}", data_group=k)
         for n in range(p.customers):
             for k in range(p.stations):
                 if n > 0:
@@ -86,6 +82,15 @@ class MvaSpec(AppSpec):
                 if k > 0:
                     graph.add_dependency(ids[n][k - 1], ids[n][k])
         return graph
+
+    def build_graph(self, rng: random.Random) -> ThreadGraph:
+        """The wavefront grid with each cell's service time jittered."""
+        p = self.params
+        services = [
+            p.mean_service_s * (1.0 + p.service_jitter * (2.0 * rng.random() - 1.0))
+            for _ in range(p.customers * p.stations)
+        ]
+        return ThreadGraph(self.name, self.shape, services)
 
 
 #: Default instance used by the paper's workload mixes.

@@ -100,29 +100,18 @@ class Allocator:
     # ------------------------------------------------------------------ #
     # queries
 
-    def allocation(self, job: Job) -> int:
-        """Processors currently owned by ``job`` (busy or held idle)."""
-        return sum(1 for p in self.procs if p.job is job)
-
-    def free_processors(self) -> typing.List[ProcessorRecord]:
-        """Unallocated processors, in id order."""
-        return [p for p in self.procs if p.is_free]
-
     def online_count(self) -> int:
         """Processors currently online (the machine size policies see)."""
         return sum(1 for p in self.procs if p.online)
 
-    def willing_processors(self, exclude: Job) -> typing.List[ProcessorRecord]:
-        """Yield-delay-window processors claimable by other jobs (D.2)."""
-        return [p for p in self.procs if p.is_willing_to_yield and p.job is not exclude]
-
     def requesters(self, exclude: typing.Optional[Job] = None) -> typing.List[Job]:
         """Live jobs that could use additional processors right now."""
+        allocation = self.system.allocation
         result = []
         for job in self.jobs:
             if job is exclude or job.finished:
                 continue
-            if job.additional_request(self.allocation(job)) > 0:
+            if job.additional_request(allocation(job)) > 0:
                 result.append(job)
         return result
 
@@ -171,20 +160,21 @@ class Allocator:
         return {job.name: self.credit.credit(job) for job in jobs}
 
     def _profiled(
-        self, span: str, call: typing.Callable[[], None]
+        self, span: str, call: typing.Callable[..., None], *args: typing.Any
     ) -> None:
-        """Run one decision entry point under a ``policy/*`` span.
+        """Run one decision entry point, ``call(*args)``, under a
+        ``policy/*`` span.
 
         Mirrors the tracer guard: without an enabled profiler the cost is
         one attribute load and branch per decision, no clock reads.
         """
         prof = self.system.profiler
         if prof is None or not prof.enabled:  # type: ignore[attr-defined]
-            call()
+            call(*args)
             return
         prof.push(span)  # type: ignore[attr-defined]
         try:
-            call()
+            call(*args)
         finally:
             prof.pop()  # type: ignore[attr-defined]
 
@@ -205,7 +195,7 @@ class Allocator:
         """Remove a finished job and redistribute its processors."""
         self.credit.job_departed(job, self.system.now)
         self.jobs.remove(job)
-        freed = [p for p in self.procs if p.job is job]
+        freed = list(self.system.owned(job))
         for proc in freed:
             self.system.release_processor(proc)
         if self.policy.is_equipartition:
@@ -248,20 +238,22 @@ class Allocator:
             "allocation numbers recomputed on job arrival/completion",
             allocations=targets,
         )
-        surplus: typing.List[ProcessorRecord] = [p for p in self.procs if p.is_free]
+        allocation = self.system.allocation
+        surplus: typing.List[ProcessorRecord] = list(self.system.free_pool)
         for job in self.jobs:
-            excess = self.allocation(job) - targets[job.name]
+            excess = allocation(job) - targets[job.name]
             if excess <= 0:
                 continue
-            owned = [p for p in self.procs if p.job is job]
-            owned.sort(key=lambda p: (p.is_busy, p.cpu_id))  # idle first
+            owned = sorted(
+                self.system.owned(job), key=lambda p: (p.is_busy, p.cpu_id)
+            )  # idle first
             for proc in owned[:excess]:
                 if proc.is_busy:
                     self.system.preempt_processor(proc)
                 self.system.release_processor(proc)
                 surplus.append(proc)
         for job in self.jobs:
-            deficit = targets[job.name] - self.allocation(job)
+            deficit = targets[job.name] - allocation(job)
             for _ in range(deficit):
                 if not surplus:
                     return
@@ -276,8 +268,7 @@ class Allocator:
         if self.policy.is_equipartition:
             return  # equipartition never reacts to availability mid-run
         self._profiled(
-            "policy/processor_available",
-            lambda: self._processor_available_impl(proc),
+            "policy/processor_available", self._processor_available_impl, proc
         )
 
     def _processor_available_impl(self, proc: ProcessorRecord) -> None:
@@ -343,11 +334,11 @@ class Allocator:
         """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
         if self.policy.is_equipartition:
             return  # its processors were already used by the system
-        self._profiled("policy/new_work", lambda: self._new_work_impl(job))
+        self._profiled("policy/new_work", self._new_work_impl, job)
 
     def _new_work_impl(self, job: Job) -> None:
         while True:
-            want = job.additional_request(self.allocation(job))
+            want = job.additional_request(self.system.allocation(job))
             if want <= 0:
                 return
             rule, reason = "D.1", "granted from the free pool"
@@ -370,7 +361,7 @@ class Allocator:
             self.system.grant_processor(proc, job, worker=worker)
 
     def _pick_with_affinity(
-        self, job: Job, candidates: typing.List[ProcessorRecord]
+        self, job: Job, candidates: typing.Sequence[ProcessorRecord]
     ) -> typing.Optional[ProcessorRecord]:
         """A.2: desired processor first, then any affine one, then arbitrary."""
         if not candidates:
@@ -396,11 +387,13 @@ class Allocator:
 
     def _take_free(self, job: Job) -> typing.Optional[ProcessorRecord]:
         """Rule D.1."""
-        return self._pick_with_affinity(job, self.free_processors())
+        return self._pick_with_affinity(job, self.system.free_pool)
 
     def _take_willing(self, job: Job) -> typing.Optional[ProcessorRecord]:
         """Rule D.2: claim a processor out of another job's yield window."""
-        proc = self._pick_with_affinity(job, self.willing_processors(exclude=job))
+        proc = self._pick_with_affinity(
+            job, [p for p in self.system.willing_pool if p.job is not job]
+        )
         if proc is None:
             return None
         self.system.release_processor(proc)
@@ -410,21 +403,21 @@ class Allocator:
         """Rule D.3: preempt from the job(s) with the largest allocation."""
         if not self.policy.respect_priority:
             return None  # Dyn-Aff-NoPri ignores D.3 entirely
-        my_alloc = self.allocation(job)
+        allocation = self.system.allocation
+        my_alloc = allocation(job)
         victims = [
-            (self.allocation(other), other)
+            (allocation(other), other)
             for other in self.jobs
             if other is not job and not other.finished
         ]
         if not victims:
             return None
-        victims.sort(key=lambda item: (-item[0], item[1].name))
-        victim_alloc, victim = victims[0]
+        victim_alloc, victim = min(victims, key=lambda item: (-item[0], item[1].name))
         self.credit.refresh(job, self.system.now)
         self.credit.refresh(victim, self.system.now)
         if not self.credit.may_preempt(job, my_alloc, victim, victim_alloc):
             return None
-        owned_busy = [p for p in self.procs if p.job is victim and p.is_busy]
+        owned_busy = [p for p in self.system.owned(victim) if p.worker is not None]
         if not owned_busy:
             return None
         proc = self.system.rng.choice(owned_busy)

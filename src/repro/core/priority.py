@@ -72,9 +72,10 @@ class CreditScheduler:
     def refresh(self, job: "Job", now: float) -> None:
         """Integrate the credit of ``job`` up to ``now``."""
         name = job.name
-        if name not in self._credit:
+        last = self._last_update.get(name)
+        if last is None:
             return
-        elapsed = now - self._last_update[name]
+        elapsed = now - last
         if elapsed > 0:
             delta = (self.equal_share() - self._allocation[name]) * elapsed
             credit = self._credit[name] + delta

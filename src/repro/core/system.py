@@ -50,7 +50,7 @@ from repro.obs.tracer import Tracer
 from repro.machine.footprint import FootprintModel
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.threads.job import Job
-from repro.threads.workers import WorkerState, WorkerTask
+from repro.threads.workers import WorkerTask
 
 #: Event priority for job arrivals: before anything else at that instant.
 _ARRIVAL_PRIORITY = 10
@@ -153,8 +153,16 @@ class SchedulingSystem:
         if len(self._arrivals) != len(self.jobs):
             raise ValueError("arrival_times must match jobs")
         self._alloc_mark: typing.Dict[str, float] = {}
-        self._alloc_count: typing.Dict[str, int] = {}
-        self._busy_count: typing.Dict[str, int] = {}
+        # The processor bookkeeping, each list in cpu_id order and kept
+        # exact by the hand-off mechanics below (the only writers of a
+        # processor's owner, worker, yield window and online flag): the
+        # processors each arrived job owns, those it holds idle, the free
+        # pool (unowned and online) and the willing pool (held idle in a
+        # yield-delay window, claimable under rule D.2).
+        self._owned: typing.Dict[Job, typing.List[ProcessorRecord]] = {}
+        self._held_idle: typing.Dict[Job, typing.List[ProcessorRecord]] = {}
+        self._free: typing.List[ProcessorRecord] = list(self.allocator.procs)
+        self._willing: typing.List[ProcessorRecord] = []
         self._arrival_handles: typing.Dict[str, object] = {}
         self._finished_jobs = 0
         #: optional allocation-timeline recorder (see repro.core.trace)
@@ -248,8 +256,8 @@ class SchedulingSystem:
     def _arrive(self, job: Job) -> None:
         job.start(self.now)
         self._alloc_mark[job.name] = self.now
-        self._alloc_count[job.name] = 0
-        self._busy_count[job.name] = 0
+        self._owned[job] = []
+        self._held_idle[job] = []
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(JobArrival(time=self.now, job=job.name))
@@ -295,8 +303,8 @@ class SchedulingSystem:
             return False
         arrived = job.name in self._alloc_mark
         if arrived:
-            for proc in self.allocator.procs:
-                if proc.job is job and proc.worker is not None:
+            for proc in list(self._owned[job]):
+                if proc.worker is not None:
                     self.preempt_processor(proc)
             self._touch_allocation(job)
         else:
@@ -336,6 +344,7 @@ class SchedulingSystem:
             self.preempt_processor(proc)
         self.release_processor(proc)
         proc.online = False
+        self._free.remove(proc)
         proc.history.clear()
         flush = getattr(self.footprint, "flush_processor", None)
         lost = float(flush(cpu_id)) if flush is not None else 0.0
@@ -357,6 +366,7 @@ class SchedulingSystem:
         if proc.online:
             raise RuntimeError(f"processor {cpu_id} is already online")
         proc.online = True
+        _insert_by_cpu(self._free, proc)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(CpuRecovery(time=self.now, cpu=cpu_id))
@@ -381,6 +391,35 @@ class SchedulingSystem:
         )
 
     # ------------------------------------------------------------------ #
+    # processor bookkeeping (read by the allocator)
+
+    def allocation(self, job: Job) -> int:
+        """Processors currently owned by ``job`` (busy or held idle)."""
+        return len(self._owned.get(job, ()))
+
+    def owned(self, job: Job) -> typing.Sequence[ProcessorRecord]:
+        """Processors ``job`` owns, in cpu_id order.
+
+        A live view: copy it before changing any processor's owner.
+        """
+        return self._owned.get(job, ())
+
+    def held_idle(self, job: Job) -> typing.Sequence[ProcessorRecord]:
+        """Processors ``job`` owns but runs nothing on, in cpu_id order (live)."""
+        return self._held_idle.get(job, ())
+
+    @property
+    def free_pool(self) -> typing.Sequence[ProcessorRecord]:
+        """Unowned online processors, in cpu_id order (live; rule D.1)."""
+        return self._free
+
+    @property
+    def willing_pool(self) -> typing.Sequence[ProcessorRecord]:
+        """Processors held idle in a yield-delay window, in cpu_id order
+        (live; rule D.2)."""
+        return self._willing
+
+    # ------------------------------------------------------------------ #
     # allocation accounting
 
     def _touch_allocation(self, job: Job) -> None:
@@ -388,21 +427,28 @@ class SchedulingSystem:
         mark = self._alloc_mark.get(job.name)
         if mark is None:
             return
-        job.allocation_integral += self._alloc_count[job.name] * (self.now - mark)
+        job.allocation_integral += len(self._owned[job]) * (self.now - mark)
         self._alloc_mark[job.name] = self.now
 
     def _change_owner(
         self, proc: ProcessorRecord, job: typing.Optional[Job]
     ) -> None:
+        """Hand an idle processor to ``job`` (None: to the free pool)."""
         old = proc.job
         if old is job:
             return
         if old is not None:
             self._touch_allocation(old)
-            self._alloc_count[old.name] -= 1
+            self._owned[old].remove(proc)
+            self._held_idle[old].remove(proc)
+        elif proc.online:
+            self._free.remove(proc)
         if job is not None:
             self._touch_allocation(job)
-            self._alloc_count[job.name] += 1
+            _insert_by_cpu(self._owned[job], proc)
+            _insert_by_cpu(self._held_idle[job], proc)
+        elif proc.online:
+            _insert_by_cpu(self._free, proc)
         proc.job = job
         if self.trace is not None:
             self.trace.record(self.now, proc.cpu_id, job.name if job else None)
@@ -419,18 +465,28 @@ class SchedulingSystem:
         if self.metrics is not None:
             self.metrics.counter("alloc/changes").inc()
 
-    def _note_busy_change(self, job: Job, delta: int) -> None:
-        """Track busy (actually-executing) processors for the credit scheme.
+    def _vacate(self, proc: ProcessorRecord, job: Job) -> None:
+        """The worker on ``proc`` left: ``job`` now holds it idle."""
+        proc.worker = None
+        _insert_by_cpu(self._held_idle[job], proc)
+        self._note_busy_change(job)
+
+    def _note_busy_change(self, job: Job) -> None:
+        """Tell the credit scheme how many processors ``job`` keeps busy.
 
         Credits reward *using* few processors, so a processor held idle
         (equipartition hold or a yield-delay window) banks credit for its
         owner just as a released one would.
         """
-        count = self._busy_count.get(job.name, 0) + delta
-        if count < 0:
-            raise RuntimeError(f"negative busy count for {job.name}")
-        self._busy_count[job.name] = count
-        self.allocator.credit.set_allocation(job, count, self.now)
+        busy = len(self._owned[job]) - len(self._held_idle[job])
+        self.allocator.credit.set_allocation(job, busy, self.now)
+
+    def _close_yield_window(self, proc: ProcessorRecord) -> None:
+        """End ``proc``'s yield-delay window, if open: it leaves the willing pool."""
+        if proc.yield_handle is not None:
+            self.sim.cancel(proc.yield_handle)
+            proc.yield_handle = None
+            self._willing.remove(proc)
 
     # ------------------------------------------------------------------ #
     # processor hand-off mechanics (called by the allocator and internally)
@@ -453,9 +509,7 @@ class SchedulingSystem:
                 f"cannot grant to {job.name}"
             )
         was_held = proc.job is job
-        if proc.yield_handle is not None:
-            self.sim.cancel(proc.yield_handle)
-            proc.yield_handle = None
+        self._close_yield_window(proc)
         if proc.idle_since is not None:
             job.waste += self.now - proc.idle_since
             proc.idle_since = None
@@ -496,8 +550,9 @@ class SchedulingSystem:
             job.switch_overhead_total += self.machine.context_switch_s
         worker.note_dispatch(proc.cpu_id, self.now)
         proc.worker = worker
+        self._held_idle[job].remove(proc)
         proc.history.record(worker.key)
-        self._note_busy_change(job, +1)
+        self._note_busy_change(job)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -569,8 +624,7 @@ class SchedulingSystem:
         worker.stint_penalty_charged = 0.0
         duration = worker.note_departure(self.now, suspended=True)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        proc.worker = None
-        self._note_busy_change(job, -1)
+        self._vacate(proc, job)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -589,9 +643,7 @@ class SchedulingSystem:
         """Return ``proc`` to the free pool (it must not be running)."""
         if proc.worker is not None:
             raise RuntimeError(f"release of busy processor {proc.cpu_id}")
-        if proc.yield_handle is not None:
-            self.sim.cancel(proc.yield_handle)
-            proc.yield_handle = None
+        self._close_yield_window(proc)
         if proc.idle_since is not None and proc.job is not None:
             proc.job.waste += self.now - proc.idle_since
         proc.idle_since = None
@@ -613,8 +665,7 @@ class SchedulingSystem:
         if job.finished:
             duration = worker.note_departure(self.now, suspended=False)
             self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-            proc.worker = None
-            self._note_busy_change(job, -1)
+            self._vacate(proc, job)
             tr = self.tracer
             if tr is not None and tr.enabled:
                 tr.emit(
@@ -647,18 +698,14 @@ class SchedulingSystem:
         else:
             self._worker_idle(proc, worker, job)
 
-        if job.ready or self._has_waiting_suspended(job):
+        if job.ready or job.n_suspended:
             self._place_new_work(job)
-
-    def _has_waiting_suspended(self, job: Job) -> bool:
-        return any(w.state == WorkerState.SUSPENDED for w in job.workers)
 
     def _worker_idle(self, proc: ProcessorRecord, worker: WorkerTask, job: Job) -> None:
         """The worker found no runnable thread: depart, then hold or yield."""
         duration = worker.note_departure(self.now, suspended=False)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        proc.worker = None
-        self._note_busy_change(job, -1)
+        self._vacate(proc, job)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -688,25 +735,35 @@ class SchedulingSystem:
                 lambda: self._yield_now(proc),
                 label=f"yield:{proc.cpu_id}",
             )
+            _insert_by_cpu(self._willing, proc)
         else:
             self.release_processor(proc)
             self.allocator.processor_available(proc)
 
     def _yield_now(self, proc: ProcessorRecord) -> None:
         """Yield-delay expired with no new work: give the processor back."""
-        proc.yield_handle = None
         self.release_processor(proc)
         self.allocator.processor_available(proc)
 
     def _place_new_work(self, job: Job) -> None:
         """New runnable work appeared in ``job``: use held processors, then ask."""
-        for proc in self.allocator.procs:
-            if proc.job is job and proc.is_held_idle:
-                worker = job.select_worker(
-                    proc.cpu_id, prefer_affinity=True,
-                    history_depth=self.policy.history_depth,
-                )
-                if worker is None:
-                    break
-                self.grant_processor(proc, job, worker=worker)
+        for proc in list(self._held_idle[job]):
+            worker = job.select_worker(
+                proc.cpu_id, prefer_affinity=True,
+                history_depth=self.policy.history_depth,
+            )
+            if worker is None:
+                break
+            self.grant_processor(proc, job, worker=worker)
         self.allocator.new_work(job)
+
+
+def _insert_by_cpu(
+    procs: typing.List[ProcessorRecord], proc: ProcessorRecord
+) -> None:
+    """Insert ``proc`` into ``procs``, keeping cpu_id order."""
+    index = len(procs)
+    cpu = proc.cpu_id
+    while index and procs[index - 1].cpu_id > cpu:
+        index -= 1
+    procs.insert(index, proc)

@@ -142,13 +142,11 @@ class TimeSharingSystem:
         for worker in job.dispatchable_workers():
             if worker in self.run_queue:
                 continue
-            if worker.state == WorkerState.IDLE:
+            if worker.state is WorkerState.IDLE:
                 tid = job.take_ready_thread()
                 if tid is None:
                     continue
-                worker.current_thread = tid
-                worker.remaining_service = job.graph.service_time(tid)
-                worker.state = WorkerState.SUSPENDED
+                worker.hold_thread(tid, job.graph.service_time(tid))
             self.run_queue.append(worker)
 
     def _pick_worker(self, cpu: int) -> typing.Optional[WorkerTask]:

@@ -4,7 +4,9 @@ Events are ordered by ``(time, priority, seq)``.  ``priority`` breaks ties
 between events scheduled for the same instant (smaller runs first), and
 ``seq`` — a monotonically increasing sequence number assigned by the queue —
 makes the ordering total and therefore deterministic: two runs with the same
-seed schedule and pop events in exactly the same order.
+seed schedule and pop events in exactly the same order.  The queue keeps
+that key as a plain tuple next to each event in its heap, so events
+themselves need no ordering methods.
 
 Every event moves through an explicit lifecycle::
 
@@ -75,13 +77,6 @@ class Event:
     def cancelled(self) -> bool:
         """True once the event has been cancelled (and will never fire)."""
         return self.state is EventState.CANCELLED
-
-    def sort_key(self) -> typing.Tuple[float, int, int]:
-        """Total ordering key used by the event queue."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 class EventHandle:

@@ -164,19 +164,22 @@ class Simulator:
         profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
         if profiling:
             prof.push("engine/run")  # type: ignore[attr-defined]
+        queue = self.queue
+        clock = self.clock
+        hooks = self._trace_hooks
         try:
-            while self.queue and not self._stopped:
-                next_time = self.queue.peek_time()
+            while queue and not self._stopped:
+                next_time = queue.peek_time()
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
-                    self.clock.advance_to(until)
+                    clock.advance_to(until)
                     return self.now
-                event = self.queue.pop()
-                self.clock.advance_to(event.time)
+                event = queue.pop()
+                clock.advance_to(event.time)
                 self._events_fired += 1
                 fired_this_run += 1
-                for hook in self._trace_hooks:
+                for hook in hooks:
                     hook(event.time, event.label)
                 if profiling:
                     # Aggregate per label family: "slice:GRAVITY" and

@@ -7,7 +7,8 @@ threads), one per allocated processor.  This package provides:
 
 * :class:`~repro.threads.graph.ThreadGraph` — the dependence DAG with
   readiness tracking and the parallelism-profile computation behind the
-  paper's Figures 2-4;
+  paper's Figures 2-4, over an immutable
+  :class:`~repro.threads.graph.GraphShape` that job instances share;
 * :class:`~repro.threads.job.Job` — one running application instance;
 * :class:`~repro.threads.workers.WorkerTask` — the kernel-thread workers
   that acquire processor affinity;
@@ -16,7 +17,7 @@ threads), one per allocated processor.  This package provides:
 """
 
 from repro.threads.data_affinity import DataAffinitySpec, effective_service, pick_thread
-from repro.threads.graph import ThreadGraph, ThreadNode
+from repro.threads.graph import GraphShape, ThreadGraph, ThreadNode
 from repro.threads.job import Job
 from repro.threads.sync import CriticalSectionModel, add_barrier
 from repro.threads.workers import WorkerState, WorkerTask
@@ -24,6 +25,7 @@ from repro.threads.workers import WorkerState, WorkerTask
 __all__ = [
     "CriticalSectionModel",
     "DataAffinitySpec",
+    "GraphShape",
     "Job",
     "ThreadGraph",
     "ThreadNode",

@@ -88,7 +88,7 @@ def pick_thread(
     window = min(spec.search_window, len(job.ready))
     for index in range(window):
         tid = job.ready[index]
-        group = job.graph.node(tid).data_group
+        group = job.graph.data_group(tid)
         if group is not None and group in warm:
             del job.ready[index]
             return tid
@@ -103,20 +103,21 @@ def effective_service(
     Also pushes the thread's group onto the worker's recent-group window,
     so group reuse within the memory horizon chains its warmth.
     """
-    node = job.graph.node(tid)
-    service = node.service_time
+    graph = job.graph
+    service = graph.service_time(tid)
+    group = graph.data_group(tid)
     spec = job.data_affinity
     warm = (
         spec is not None
-        and node.data_group is not None
-        and node.data_group in _warm_groups(worker, spec)
+        and group is not None
+        and group in _warm_groups(worker, spec)
     )
-    worker.last_data_group = node.data_group
-    if node.data_group is not None:
+    worker.last_data_group = group
+    if group is not None:
         recent = worker.recent_data_groups
-        if node.data_group in recent:
-            recent.remove(node.data_group)
-        recent.insert(0, node.data_group)
+        if group in recent:
+            recent.remove(group)
+        recent.insert(0, group)
         del recent[8:]
     if warm:
         assert spec is not None

@@ -13,9 +13,13 @@ import collections
 import typing
 
 from repro.machine.footprint import FootprintCurve
-from repro.threads.data_affinity import DataAffinitySpec
+from repro.threads.data_affinity import DataAffinitySpec, effective_service, pick_thread
 from repro.threads.graph import ThreadGraph
 from repro.threads.workers import WorkerState, WorkerTask
+
+_IDLE = WorkerState.IDLE
+_RUNNING = WorkerState.RUNNING
+_SUSPENDED = WorkerState.SUSPENDED
 
 
 class Job:
@@ -36,6 +40,10 @@ class Job:
         self.curve = curve
         #: optional user-level thread affinity configuration (Section 9)
         self.data_affinity = data_affinity
+        #: workers in each non-idle state, kept exact by the workers'
+        #: own state transitions (see :class:`WorkerTask`)
+        self.n_running = 0
+        self.n_suspended = 0
         self.workers = [WorkerTask(self, i) for i in range(max_workers)]
         self.ready: typing.Deque[int] = collections.deque()
         self.arrival_time = 0.0
@@ -83,16 +91,17 @@ class Job:
 
     def runnable_units(self) -> int:
         """Threads ready to run plus suspended workers holding partial work."""
-        suspended = sum(1 for w in self.workers if w.state == WorkerState.SUSPENDED)
-        return len(self.ready) + suspended
+        return len(self.ready) + self.n_suspended
 
     def running_workers(self) -> typing.List[WorkerTask]:
         """Workers currently on processors."""
-        return [w for w in self.workers if w.state == WorkerState.RUNNING]
+        return [w for w in self.workers if w.state is _RUNNING]
 
     def demand(self) -> int:
         """Processors the job can use right now, capped by its worker pool."""
-        return min(len(self.workers), self.runnable_units() + len(self.running_workers()))
+        return min(
+            len(self.workers), len(self.ready) + self.n_suspended + self.n_running
+        )
 
     def additional_request(self, allocated: int) -> int:
         """Extra processors the job would accept given ``allocated`` now."""
@@ -107,15 +116,18 @@ class Job:
         Suspended workers always qualify (they hold a partial thread); idle
         workers qualify only while unclaimed ready threads exist.
         """
-        suspended = [w for w in self.workers if w.state == WorkerState.SUSPENDED]
-        result = list(suspended)
+        workers = self.workers
+        result = (
+            [w for w in workers if w.state is _SUSPENDED] if self.n_suspended else []
+        )
         spare_threads = len(self.ready)
-        for worker in self.workers:
-            if spare_threads <= 0:
-                break
-            if worker.state == WorkerState.IDLE:
-                result.append(worker)
-                spare_threads -= 1
+        if spare_threads:
+            for worker in workers:
+                if worker.state is _IDLE:
+                    result.append(worker)
+                    spare_threads -= 1
+                    if not spare_threads:
+                        break
         return result
 
     def worker_by_key(
@@ -143,9 +155,12 @@ class Job:
         if not candidates:
             return None
         if prefer_affinity:
-            for depth in range(1, history_depth + 1):
+            # Depth by depth, most recent first: a worker that ran here
+            # more recently would have matched at a smaller depth.
+            for depth in range(history_depth):
                 for worker in candidates:
-                    if worker.affinity_within(processor, depth):
+                    history = worker.processor_history
+                    if depth < len(history) and history[depth] == processor:
                         return worker
         return candidates[0]
 
@@ -157,8 +172,8 @@ class Job:
         the last processor of any dispatchable worker.
         """
         best: typing.Optional[WorkerTask] = None
-        for worker in self.workers:
-            if worker.state != WorkerState.SUSPENDED:
+        for worker in self.workers if self.n_suspended else ():
+            if worker.state is not _SUSPENDED:
                 continue
             if worker.last_processor is None:
                 continue
@@ -183,8 +198,6 @@ class Job:
         case the spec's dispatch rule applies (see
         :mod:`repro.threads.data_affinity`).
         """
-        from repro.threads.data_affinity import pick_thread
-
         if worker is not None and self.data_affinity is not None:
             return pick_thread(self, worker, self.data_affinity)
         if self.ready:
@@ -193,8 +206,6 @@ class Job:
 
     def thread_service_for(self, worker: WorkerTask, tid: int) -> float:
         """Effective service time of ``tid`` on ``worker`` (warm-data aware)."""
-        from repro.threads.data_affinity import effective_service
-
         return effective_service(self, worker, tid)
 
     def on_thread_complete(self, tid: int) -> typing.List[int]:

@@ -26,6 +26,10 @@ class WorkerState(enum.Enum):
     SUSPENDED = "suspended"
 
 
+_RUNNING = WorkerState.RUNNING
+_SUSPENDED = WorkerState.SUSPENDED
+
+
 class WorkerTask:
     """One kernel thread of a job.
 
@@ -37,7 +41,7 @@ class WorkerTask:
     def __init__(self, job: "Job", index: int) -> None:
         self.job = job
         self.index = index
-        self.state = WorkerState.IDLE
+        self._state = WorkerState.IDLE
         self.processor: typing.Optional[int] = None
         self.last_processor: typing.Optional[int] = None
         #: most-recent-first window of processors this task has run on
@@ -66,6 +70,25 @@ class WorkerTask:
         self.affine_dispatches = 0
 
     @property
+    def state(self) -> WorkerState:
+        """Lifecycle state; changed only by the transition methods below,
+        which keep the job's per-state worker counts exact."""
+        return self._state
+
+    def _enter(self, state: WorkerState) -> None:
+        job = self.job
+        old = self._state
+        if old is _RUNNING:
+            job.n_running -= 1
+        elif old is _SUSPENDED:
+            job.n_suspended -= 1
+        if state is _RUNNING:
+            job.n_running += 1
+        elif state is _SUSPENDED:
+            job.n_suspended += 1
+        self._state = state
+
+    @property
     def key(self) -> typing.Tuple[str, int]:
         """Stable hashable identity: (job name, worker index)."""
         return (self.job.name, self.index)
@@ -75,19 +98,13 @@ class WorkerTask:
         """The single processor this task has affinity for (or None)."""
         return self.last_processor
 
-    def affinity_within(self, processor: int, depth: int = 1) -> bool:
-        """True if ``processor`` is among the last ``depth`` this task used."""
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        return processor in self.processor_history[:depth]
-
     def note_dispatch(self, processor: int, now: float) -> bool:
         """Record a dispatch onto ``processor``; returns affinity hit/miss."""
         affine = self.last_processor == processor
         self.dispatches += 1
         if affine:
             self.affine_dispatches += 1
-        self.state = WorkerState.RUNNING
+        self._enter(_RUNNING)
         self.processor = processor
         self.started_at = now
         self.segment_start = now
@@ -109,11 +126,23 @@ class WorkerTask:
                 self.processor_history.insert(0, self.processor)
                 del self.processor_history[8:]
         self.processor = None
-        self.state = WorkerState.SUSPENDED if suspended else WorkerState.IDLE
+        self._enter(_SUSPENDED if suspended else WorkerState.IDLE)
         if not suspended:
             self.current_thread = None
             self.remaining_service = 0.0
         return duration
+
+    def hold_thread(self, tid: int, service: float) -> None:
+        """Give an idle worker thread ``tid`` before it is dispatched.
+
+        The worker waits ``SUSPENDED``, holding the whole thread, exactly
+        like a worker preempted before it ran any of it.
+        """
+        if self._state is not WorkerState.IDLE:
+            raise RuntimeError(f"worker {self.key} is {self._state.value}, not idle")
+        self.current_thread = tid
+        self.remaining_service = service
+        self._enter(_SUSPENDED)
 
     def affinity_rate(self) -> float:
         """Fraction of dispatches that landed on the affine processor."""

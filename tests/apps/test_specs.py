@@ -138,3 +138,30 @@ class TestMakeJob:
             __import__("repro.machine.params", fromlist=["SEQUENT_SYMMETRY"]).SEQUENT_SYMMETRY
         )
         assert job.curve == expected
+
+
+class TestCompiledShape:
+    SPECS = [
+        MvaSpec(MvaParams(customers=4, stations=3)),
+        MatrixSpec(MatrixParams(n_blocks=5)),
+        GravitySpec(GravityParams(n_timesteps=2)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    def test_compiled_on_first_build_then_shared(self, spec):
+        fresh = type(spec)(spec.params)
+        assert "shape" not in vars(fresh)
+        first, second = fresh.build_graph(rng()), fresh.build_graph(random.Random(7))
+        assert first.shape is fresh.shape is second.shape
+        assert first.n_threads == second.n_threads == fresh.shape.n_threads
+        assert [first.service_time(t) for t in range(first.n_threads)] != [
+            second.service_time(t) for t in range(second.n_threads)
+        ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    def test_instances_keep_their_own_readiness(self, spec):
+        a, b = spec.build_graph(rng()), spec.build_graph(rng())
+        for tid in a.initially_ready():
+            a.complete(tid)
+        assert a.n_completed > 0 and b.n_completed == 0
+        assert b.initially_ready() == list(spec.shape.roots)

@@ -111,3 +111,28 @@ class TestAffinityVariant:
         # The victim's work is 4s of 36 total; a fair rotation finishes it
         # well inside the hog's span (~9s of pure work on 4 cpus).
         assert result.jobs["VICTIM"].response_time < result.jobs["HOG"].response_time
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("policy", [TIME_SHARING, TIME_SHARING_AFFINITY])
+    def test_job_counts_match_worker_states(self, policy):
+        """Queueing a worker with a thread in hand goes through a worker
+        transition, so the job's per-state counts never drift."""
+        from repro.threads.workers import WorkerState
+
+        jobs = [phased_job("P", 3, 6, 0.15, workers=3), flat_job("F", 8, 0.3, workers=4)]
+        system = TimeSharingSystem(jobs, policy, n_processors=3)
+        drift = []
+
+        def check(time, label):
+            for job in jobs:
+                states = [w.state for w in job.workers]
+                counts = (states.count(WorkerState.RUNNING),
+                          states.count(WorkerState.SUSPENDED))
+                if (job.n_running, job.n_suspended) != counts:
+                    drift.append((time, label, job.name))
+
+        system.sim.add_trace_hook(check)
+        system.run()
+        assert not drift
+        assert system.voluntary_switches and system.involuntary_switches

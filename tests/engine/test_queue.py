@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.events import Event
 from repro.engine.queue import EventQueue
 
 
@@ -114,11 +113,18 @@ class TestCancellation:
 
 
 class TestEventOrdering:
-    def test_sort_key_total_order(self):
-        a = Event(1.0, 100, 0, _noop)
-        b = Event(1.0, 100, 1, _noop)
-        assert a < b
-        assert not b < a
+    def test_pop_follows_total_key_order(self):
+        """Same instant and priority: seq decides; priority beats seq."""
+        q = EventQueue()
+        q.push(1.0, _noop, priority=100, label="a")
+        q.push(1.0, _noop, priority=100, label="b")
+        q.push(1.0, _noop, priority=10, label="c")
+        q.push(0.5, _noop, priority=200, label="d")
+        popped = [q.pop() for _ in range(4)]
+        assert [e.label for e in popped] == ["d", "c", "a", "b"]
+        keys = [(e.time, e.priority, e.seq) for e in popped]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 @given(
@@ -129,16 +135,26 @@ class TestEventOrdering:
         ),
         min_size=1,
         max_size=200,
-    )
+    ),
+    st.data(),
 )
-def test_property_pop_order_is_sorted(items):
-    """Popping always yields (time, priority) in non-decreasing order."""
+def test_property_pop_order_is_sorted(items, data):
+    """Pops follow the full ``(time, priority, seq)`` key of a sorted-list
+    oracle, with cancels interleaved between the pushes."""
     q = EventQueue()
+    handles = []
+    oracle = []
     for time, priority in items:
-        q.push(time, _noop, priority=priority)
-    popped = [q.pop() for _ in range(len(items))]
-    keys = [(e.time, e.priority) for e in popped]
-    assert keys == sorted(keys)
+        handles.append(q.push(time, _noop, priority=priority))
+        oracle.append((time, priority, len(handles) - 1))
+        if data.draw(st.booleans()):
+            victim = data.draw(st.integers(min_value=0, max_value=len(handles) - 1))
+            if handles[victim].cancel():
+                oracle.remove(next(k for k in oracle if k[2] == victim))
+    popped = [q.pop() for _ in range(len(q))]
+    assert [(e.time, e.priority, e.seq) for e in popped] == sorted(oracle)
+    assert all(e.fired for e in popped)
+    assert q.peek_time() is None
 
 
 @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=2, max_size=50), st.data())

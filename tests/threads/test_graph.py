@@ -44,6 +44,37 @@ class TestConstruction:
     def test_total_work(self):
         assert diamond().total_work() == pytest.approx(7.0)
 
+    def test_compiled_graph_cannot_grow(self):
+        g = diamond()
+        g.initially_ready()
+        with pytest.raises(RuntimeError):
+            g.add_thread(1.0)
+        with pytest.raises(RuntimeError):
+            g.add_dependency(0, 3)
+
+    def test_shape_is_csr_in_dependency_order(self):
+        shape = diamond().shape
+        assert shape.succ_offsets == (0, 2, 3, 4, 4)
+        assert shape.succ_targets == (1, 2, 3, 3)
+        assert shape.n_predecessors == (0, 1, 1, 2)
+        assert shape.roots == (0,)
+
+    def test_instance_from_shape_shares_it(self):
+        shape = diamond().shape
+        g = ThreadGraph("copy", shape, [2.0, 1.0, 1.0, 2.0])
+        assert g.shape is shape
+        assert g.node(3).n_predecessors == 2
+        assert g.node(0).successors == (1, 2)
+        assert g.total_work() == pytest.approx(6.0)
+        assert sorted(g.complete(0)) == [1, 2]
+
+    def test_instance_needs_one_valid_service_per_thread(self):
+        shape = diamond().shape
+        with pytest.raises(ValueError):
+            ThreadGraph("short", shape, [1.0, 1.0])
+        with pytest.raises(ValueError):
+            ThreadGraph("negative", shape, [1.0, -1.0, 1.0, 1.0])
+
 
 class TestReadiness:
     def test_initially_ready_are_roots(self):

@@ -91,3 +91,31 @@ class TestAffinityStats:
     def test_key_is_stable(self):
         w = make_worker()
         assert w.key == ("J", 0)
+
+
+class TestStateCounts:
+    def test_state_is_read_only(self):
+        with pytest.raises(AttributeError):
+            make_worker().state = WorkerState.SUSPENDED
+
+    def test_transitions_keep_job_counts(self):
+        w = make_worker()
+        job = w.job
+        w.note_dispatch(0, 0.0)
+        assert (job.n_running, job.n_suspended) == (1, 0)
+        w.note_departure(1.0, suspended=True)
+        assert (job.n_running, job.n_suspended) == (0, 1)
+        w.note_dispatch(1, 1.0)
+        w.note_departure(2.0, suspended=False)
+        assert (job.n_running, job.n_suspended) == (0, 0)
+
+    def test_hold_thread_suspends_an_idle_worker(self):
+        w = make_worker()
+        w.hold_thread(0, 1.0)
+        assert w.state == WorkerState.SUSPENDED
+        assert (w.current_thread, w.remaining_service) == (0, 1.0)
+        assert w.job.n_suspended == 1
+        assert w.job.demand() == 1
+        w.note_dispatch(0, 0.0)
+        with pytest.raises(RuntimeError):
+            w.hold_thread(0, 1.0)
