@@ -442,6 +442,23 @@ def test_penalty_regime_throughput(benchmark):
     assert result.p_na_s > 0
 
 
+def test_penalty_regime_cell_throughput(benchmark):
+    """One default-scale Table 1 cell: MVA at Q = 100 ms, all five regimes.
+
+    Stationary, migrating and multiprog against each of the three
+    programs, as ``repro table1`` runs it: the measured stream is drawn
+    once and replayed, the partners' streams are drawn per regime.
+    """
+    experiment = PenaltyExperiment(scale=16)
+    partners = tuple(APPLICATIONS[name] for name in ("MATRIX", "MVA", "GRAVITY"))
+
+    def run():
+        return experiment.measure(APPLICATIONS["MVA"], 0.1, partners=partners)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert 0 < result.p_a_s("MATRIX") < result.p_na_s
+
+
 def test_footprint_model_throughput(benchmark):
     """10k note_run/reload_penalty cycles (the DES hot path)."""
     model = FootprintModel(SEQUENT_SYMMETRY)

@@ -129,15 +129,26 @@ def reduced_machine(spec: MachineSpec, scale: int) -> MachineSpec:
     The cache shrinks by ``scale`` and the miss time grows by ``scale``, so
     the full-cache fill time — and hence every penalty measured in seconds —
     is preserved while the simulator does ``scale`` times less work.
+
+    This is the one check of a fidelity scale: it must be at least 1 and
+    leave the reduced cache a positive whole number of sets.
     """
     if scale < 1:
         raise ValueError("scale must be at least 1")
     if scale == 1:
         return spec
+    set_bytes = spec.line_size_bytes * spec.associativity
+    cache_bytes = spec.cache_size_bytes // scale
+    if cache_bytes < set_bytes or cache_bytes % set_bytes:
+        raise ValueError(
+            f"scale {scale} leaves {cache_bytes / set_bytes:g} cache sets of "
+            f"the {spec.cache_sets} on {spec.name}; a scale must leave a "
+            "positive whole number of sets"
+        )
     return dataclasses.replace(
         spec,
         name=f"{spec.name} (1/{scale} fidelity)",
-        cache_size_bytes=spec.cache_size_bytes // scale,
+        cache_size_bytes=cache_bytes,
         miss_time_s=spec.miss_time_s * scale,
     )
 

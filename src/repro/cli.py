@@ -33,6 +33,7 @@ import sys
 import typing
 
 from repro.apps import APPLICATIONS
+from repro.apps.reference import reduced_machine
 from repro.core.policies import (
     DYN_AFF,
     DYN_AFF_DELAY,
@@ -41,6 +42,7 @@ from repro.core.policies import (
     EQUIPARTITION,
 )
 from repro.engine.rng import RngRegistry
+from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.runner import run_mix
 from repro.measure.workloads import MIXES
 from repro.model import (
@@ -133,10 +135,13 @@ def _print_analysis(
 
 
 def _scale_arg(value: str) -> int:
-    """Fidelity scale: a positive integer (1 = full-fidelity cache)."""
+    """Fidelity scale: a positive integer (1 = full-fidelity cache) that
+    leaves the reduced cache a whole number of sets."""
     scale = int(value)
-    if scale < 1:
-        raise argparse.ArgumentTypeError("scale must be at least 1")
+    try:
+        reduced_machine(SEQUENT_SYMMETRY, scale)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return scale
 
 

@@ -29,6 +29,8 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if self.n_processors <= 0:
             raise ValueError("need at least one processor")
+        if self.cache_size_bytes <= 0:
+            raise ValueError("cache size must be positive")
         if self.cache_size_bytes % (self.line_size_bytes * self.associativity):
             raise ValueError("cache size must be a whole number of sets")
         if self.miss_time_s <= self.hit_time_s:

@@ -19,7 +19,12 @@ Then::
 We reproduce the experiment on the stateful cache simulator.  Every regime
 executes the *identical* touch sequence for the measured program (common
 random numbers), so response time differences are purely miss-pattern
-differences, exactly as on the real machine.
+differences, exactly as on the real machine.  The measured stream is
+drawn once per (application, Q) and replayed under all regimes; it is
+stored as an ``array.array`` of the smallest unsigned type that holds a
+block index (1 byte per touch at the default scale, at most ~500 KB; 2
+bytes per touch at ``scale=1``, at most ~16 MB).  Each multiprog regime
+draws its partner's stream afresh, since a partner stream is used once.
 
 Fidelity scaling: the experiment runs by default at 1/16 scale — cache
 and working sets shrink 16x while the per-miss time grows 16x, leaving all
@@ -33,6 +38,7 @@ penalties.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import typing
 
@@ -46,6 +52,18 @@ from repro.machine.processor import Processor
 #: The paper's rescheduling intervals: a typical I/O wait, the DYNIX time
 #: sharing quantum, and a rough dynamic space-sharing reallocation interval.
 PAPER_QUANTA_S = (0.025, 0.100, 0.400)
+
+#: Touches drawn per generator call while building the measured stream;
+#: bounds the transient Python list to well under 1 MB.
+STREAM_CHUNK = 1 << 14
+
+
+def _stream_typecode(max_block: int) -> str:
+    """The smallest unsigned ``array`` typecode holding ``max_block``."""
+    for code in "BHILQ":
+        if max_block < 1 << (8 * array.array(code).itemsize):
+            return code
+    raise ValueError(f"block index {max_block} does not fit in 64 bits")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,30 +169,49 @@ class PenaltyExperiment:
         per_touch = ref.refs_per_touch * self.machine.hit_time_s
         return int(total_seconds / per_touch)
 
+    def _rng(self, app: AppSpec, q_s: float) -> RngRegistry:
+        """The registry every regime of (``app``, Q) draws its streams from."""
+        return RngRegistry(self.seed).spawn(f"{app.name}/q{q_s:g}")
+
+    def _draw_stream(self, app: AppSpec, q_s: float, n_touches: int) -> array.array:
+        """The measured program's ``n_touches`` block touches at Q.
+
+        Drawn in bounded chunks into a compact array; the stream is the
+        same for any chunking, so every regime replaying it plays the
+        sequence a fresh generator would have produced.
+        """
+        app_ref = app.reference.reduced(self.scale)
+        gen = ReferenceGenerator(
+            app_ref, self._rng(app, q_s).stream("app"), backend=self.backend
+        )
+        stream = array.array(_stream_typecode(app_ref.data_blocks - 1))
+        remaining = n_touches
+        while remaining:
+            n = min(remaining, STREAM_CHUNK)
+            stream.extend(gen.next_blocks(n))
+            remaining -= n
+        return stream
+
     def _run_regime(
         self,
         app: AppSpec,
         q_s: float,
         regime: str,
         partner: typing.Optional[AppSpec],
-        n_touches: int,
+        stream: array.array,
     ) -> RegimeRun:
-        """Execute the measured program once under one regime."""
-        rng = RngRegistry(self.seed).spawn(f"{app.name}/q{q_s:g}")
+        """Replay the measured program's ``stream`` once under one regime."""
         app_ref = app.reference.reduced(self.scale)
-        gen = ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend)
-        # Fused path: the numpy engine's native int64 array feeds
-        # Processor.touch_batch (and the numpy cache) without ever
-        # building a Python list.
-        draw = gen.next_blocks_array if gen.backend_name == "numpy" else gen.next_blocks
-        partner_gen = None
         partner_ref = None
         partner_draw = None
         if partner is not None:
             partner_ref = partner.reference.reduced(self.scale)
             partner_gen = ReferenceGenerator(
-                partner_ref, rng.stream("partner"), backend=self.backend
+                partner_ref, self._rng(app, q_s).stream("partner"), backend=self.backend
             )
+            # Fused path: the numpy engine's native int64 array feeds
+            # Processor.touch_batch (and the numpy cache) without ever
+            # building a Python list.
             partner_draw = (
                 partner_gen.next_blocks_array
                 if partner_gen.backend_name == "numpy"
@@ -204,19 +241,16 @@ class PenaltyExperiment:
         response_time = 0.0
         slice_left = q_s
         switches = 0
-        remaining = n_touches
-        while remaining:
-            n = min(remaining, batch_limit(slice_left, app_worst))
-            if profiling:
-                prof.push("generator")  # type: ignore[attr-defined]
-                blocks = draw(n)
-                prof.pop()  # type: ignore[attr-defined]
-            else:
-                blocks = draw(n)
-            cost = proc.touch_batch("measured", blocks, app_ref.refs_per_touch)
+        n_touches = len(stream)
+        done = 0
+        while done < n_touches:
+            n = min(n_touches - done, batch_limit(slice_left, app_worst))
+            cost = proc.touch_batch(
+                "measured", stream[done:done + n], app_ref.refs_per_touch
+            )
             response_time += cost
             slice_left -= cost
-            remaining -= n
+            done += n
             if slice_left <= 0.0:
                 switches += 1
                 slice_left = q_s
@@ -264,10 +298,17 @@ class PenaltyExperiment:
         if q_s <= 0:
             raise ValueError("Q must be positive")
         n_touches = self._touch_count(app, q_s)
-        stationary = self._run_regime(app, q_s, "stationary", None, n_touches)
-        migrating = self._run_regime(app, q_s, "migrating", None, n_touches)
+        prof = self.profiler
+        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        if profiling:
+            prof.push("penalty/generate")  # type: ignore[attr-defined]
+        stream = self._draw_stream(app, q_s, n_touches)
+        if profiling:
+            prof.pop()  # type: ignore[attr-defined]
+        stationary = self._run_regime(app, q_s, "stationary", None, stream)
+        migrating = self._run_regime(app, q_s, "migrating", None, stream)
         multiprog = {
-            partner.name: self._run_regime(app, q_s, "multiprog", partner, n_touches)
+            partner.name: self._run_regime(app, q_s, "multiprog", partner, stream)
             for partner in partners
         }
         return PenaltyResult(

@@ -25,6 +25,7 @@ import json
 import os
 import typing
 
+from repro.apps.reference import reduced_machine
 from repro.core.policies import (
     DYN_AFF,
     DYN_AFF_DELAY,
@@ -32,6 +33,7 @@ from repro.core.policies import (
     DYNAMIC,
     EQUIPARTITION,
 )
+from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.workloads import MIXES
 
 #: Sweep spec schema identifier, part of every cell's cache key.
@@ -315,8 +317,7 @@ class SweepSpec:
             object.__setattr__(self, "quanta", tuple(float(q) for q in quanta))
             if any(q <= 0 for q in self.quanta):
                 raise ValueError("quanta must be positive")
-            if self.scale < 1:
-                raise ValueError("scale must be at least 1")
+            reduced_machine(SEQUENT_SYMMETRY, self.scale)
 
     # ------------------------------------------------------------------ #
 

@@ -109,6 +109,14 @@ class TestReducedFidelity:
         with pytest.raises(ValueError):
             reduced_machine(SEQUENT_SYMMETRY, 0)
 
+    @pytest.mark.parametrize("scale", [3, 4096, 100000])
+    def test_scale_must_leave_whole_cache_sets(self, scale):
+        with pytest.raises(ValueError, match=f"scale {scale} leaves .* cache sets"):
+            reduced_machine(SEQUENT_SYMMETRY, scale)
+
+    def test_smallest_reduced_cache_is_one_set(self):
+        assert reduced_machine(SEQUENT_SYMMETRY, 2048).cache_sets == 1
+
     def test_reduced_keeps_phases_within_blocks(self):
         # Aggressive scales must not shrink the address space below the
         # phase count (the reduced spec would fail its own validation).

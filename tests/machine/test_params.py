@@ -40,6 +40,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineSpec("bad", 1, 16.0, 1000, 3, 16, 1e-6, 1e-7, 1e-4)
 
+    @pytest.mark.parametrize("size", [0, -1024])
+    def test_rejects_empty_cache(self, size):
+        with pytest.raises(ValueError, match="cache size must be positive"):
+            MachineSpec("bad", 1, 16.0, size, 2, 16, 1e-6, 1e-7, 1e-4)
+
     def test_rejects_miss_cheaper_than_hit(self):
         with pytest.raises(ValueError):
             MachineSpec("bad", 1, 16.0, 1024, 2, 16, 1e-8, 1e-7, 1e-4)

@@ -1,5 +1,6 @@
 """The Section 4 penalty experiment (fast, coarse-scale versions)."""
 
+import collections
 import typing
 
 import pytest
@@ -148,10 +149,53 @@ class TestChunkedDriverEquivalence:
         exp = PenaltyExperiment(scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4)
         n_touches = exp._touch_count(MVA, self.Q_S)
         scalar = _scalar_run_regime(exp, MVA, self.Q_S, regime, partner, n_touches)
-        chunked = exp._run_regime(MVA, self.Q_S, regime, partner, n_touches)
+        stream = exp._draw_stream(MVA, self.Q_S, n_touches)
+        chunked = exp._run_regime(MVA, self.Q_S, regime, partner, stream)
         assert chunked.n_switches == scalar.n_switches
         assert chunked.response_time == pytest.approx(scalar.response_time, rel=1e-9)
         assert chunked.hit_rate == pytest.approx(scalar.hit_rate, rel=1e-12)
+
+
+class TestStreamReuse:
+    """The measured stream is drawn once per (app, Q), not once per regime."""
+
+    def test_measured_stream_drawn_once(self, monkeypatch):
+        exp = PenaltyExperiment(scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4)
+        q_s = 0.05
+        # Generators are told apart by the named rng stream they draw
+        # from: "app" for the measured program, "partner" otherwise (the
+        # MVA partner shares the measured program's spec).
+        stream_names: typing.Dict[int, str] = {}
+        drawn: typing.Counter[str] = collections.Counter()
+        original_stream = RngRegistry.stream
+
+        def named_stream(registry, name):
+            rng = original_stream(registry, name)
+            stream_names[id(rng)] = name
+            return rng
+
+        def counting(method):
+            def wrapper(gen, n):
+                drawn[stream_names[id(gen._rng)]] += n
+                return method(gen, n)
+            return wrapper
+
+        monkeypatch.setattr(RngRegistry, "stream", named_stream)
+        for attr in ("next_blocks", "next_blocks_array"):
+            monkeypatch.setattr(
+                ReferenceGenerator, attr, counting(getattr(ReferenceGenerator, attr))
+            )
+        result = exp.measure(MVA, q_s, partners=(MATRIX, MVA))
+        assert drawn["app"] == exp._touch_count(MVA, q_s)
+        assert drawn["partner"] > 0
+        assert set(result.multiprog) == {"MATRIX", "MVA"}
+
+    @pytest.mark.parametrize("scale,itemsize", [(64, 1), (16, 1), (1, 2)])
+    def test_stream_uses_smallest_unsigned_type(self, scale, itemsize):
+        stream = PenaltyExperiment(scale=scale)._draw_stream(MVA, 0.05, 1000)
+        assert len(stream) == 1000
+        assert stream.typecode in "BHILQ"
+        assert stream.itemsize == itemsize
 
 
 class TestScaleInvariance:

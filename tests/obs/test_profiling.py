@@ -166,6 +166,19 @@ class TestLiveWiring:
         assert spans["cache/access_batch"]["calls"] > 0
         assert any(name.startswith("penalty/") for name in spans)
 
+    def test_penalty_generate_span_once_per_measure(self):
+        prof = SpanProfiler()
+        experiment = PenaltyExperiment(
+            scale=16, n_switches_target=3, min_run_s=0.05, profiler=prof
+        )
+        experiment.measure(APPLICATIONS["MVA"], 0.05, partners=(APPLICATIONS["MATRIX"],))
+        spans = prof.snapshot()["spans"]
+        assert spans["penalty/generate"]["calls"] == 1
+        for regime in ("stationary", "migrating", "multiprog"):
+            assert spans[f"penalty/{regime}"]["calls"] == 1
+        # Only the partner's stream is drawn inside a regime.
+        assert spans["generator"]["calls"] > 0
+
     @staticmethod
     def _profiled(policies, workers=None):
         spec = SweepSpec(

@@ -135,6 +135,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="utilization"):
             _opensys_spec(utilization=1.0)
 
+    @pytest.mark.parametrize("scale,sets", [(0, None), (3, "682.656"), (100000, "0")])
+    def test_table1_scale_must_leave_whole_sets(self, scale, sets):
+        message = f"scale {scale} leaves {sets} cache sets" if sets else "at least 1"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(name="t", kind="table1", scale=scale)
+
     def test_backend_validated(self):
         with pytest.raises(ValueError, match="backend"):
             SweepSpec(name="t", kind="table1", backend="fortran")

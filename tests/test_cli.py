@@ -38,6 +38,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["all", "--scale", bad])
 
+    @pytest.mark.parametrize("bad,sets", [("3", "682.656"), ("100000", "0")])
+    def test_scale_must_leave_whole_cache_sets(self, bad, sets, capsys):
+        for command in ("table1", "all"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([command, "--scale", bad])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"scale {bad} leaves {sets} cache sets" in err
+            assert "positive whole number of sets" in err
+
 
 class TestCommands:
     def test_apps_output(self, capsys):

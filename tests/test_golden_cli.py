@@ -43,6 +43,7 @@ COMMANDS: typing.Dict[str, typing.Tuple[typing.List[str], typing.Tuple[str, ...]
          "--json", "matrix.json"],
         ("matrix.json",),
     ),
+    "table1": (["table1", "--scale", "64", "--metrics"], ()),
 }
 
 #: The confidence-rule case: mix 1, Equipartition vs Dyn-Aff, a loose
@@ -120,6 +121,14 @@ def test_command_output_matches_golden(name, tmp_path):
     captured = run_command(argv, files, tmp_path)
     for part, data in captured.items():
         assert data == golden_path(name, part).read_bytes(), (name, part)
+
+
+def test_table1_numpy_engine_matches_golden(tmp_path):
+    """The numpy engines replay Table 1 to the same bytes as the default."""
+    pytest.importorskip("numpy")
+    argv, files = COMMANDS["table1"]
+    captured = run_command([*argv, "--backend", "numpy"], files, tmp_path)
+    assert captured["stdout"] == golden_path("table1", "stdout").read_bytes()
 
 
 def test_confidence_summaries_match_golden():
