@@ -493,6 +493,73 @@ def test_scheduling_run_full_mix(benchmark):
     assert result.jobs
 
 
+@pytest.fixture(scope="module")
+def lite_trace():
+    """One fixed lite open-system trace: failures, Dyn-Aff, seed 0, 16 CPUs."""
+    from repro.obs import Tracer
+    from repro.workloads.opensys import built_in_scenarios, run_scenario
+
+    tracer = Tracer()
+    scenario = built_in_scenarios(lite=True, n_processors=16)["failures"]
+    run_scenario(scenario, DYN_AFF, seed=0, n_processors=16, tracer=tracer)
+    return tracer.records
+
+
+def _report_per_record(benchmark, n_records):
+    """Add the median cost per trace record to the benchmark record."""
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    us = 1e6 * benchmark.stats.stats.median / n_records
+    benchmark.extra_info["records"] = n_records
+    benchmark.extra_info["us_per_record"] = round(us, 3)
+    print(f"\n{benchmark.name}: {us:.2f} us/record over {n_records} records")
+
+
+def test_obs_pipeline_columnar_write(benchmark, lite_trace, tmp_path):
+    """Stream one trace into a columnar file (chunking, JSON, zlib, fsync)."""
+    from repro.obs.store import ColumnarTraceWriter
+
+    path = str(tmp_path / "trace.rct")
+
+    def write():
+        with ColumnarTraceWriter(path) as writer:
+            for record in lite_trace:
+                writer.feed(record)
+
+    benchmark(write)
+    _report_per_record(benchmark, len(lite_trace))
+
+
+def test_obs_pipeline_columnar_read(benchmark, lite_trace, tmp_path):
+    """Read one columnar trace back: digest, decompress, build records."""
+    from repro.obs.store import read_columnar, write_columnar
+
+    path = str(tmp_path / "trace.rct")
+    write_columnar(path, lite_trace)
+    records = benchmark(read_columnar, path)
+    assert records == lite_trace
+    _report_per_record(benchmark, len(lite_trace))
+
+
+def test_obs_pipeline_streaming_consumers(benchmark, lite_trace):
+    """The invariant checker, the metrics aggregator and replay over one trace."""
+    from repro.obs.invariants import StreamingChecker
+    from repro.obs.replay import replay
+    from repro.obs.streaming import StreamingMetrics
+
+    def consume():
+        checker = StreamingChecker()
+        metrics = StreamingMetrics()
+        for record in lite_trace:
+            checker.feed(record)
+            metrics.feed(record)
+        return checker.violations, replay(lite_trace)
+
+    violations, summary = benchmark(consume)
+    assert violations == [] and summary.jobs
+    _report_per_record(benchmark, len(lite_trace))
+
+
 def test_parallel_replication_speedup():
     """Wall-clock speedup of the parallel sweep executor.
 

@@ -15,6 +15,7 @@ The record set is the contract the invariant checker
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 
@@ -201,16 +202,60 @@ RECORD_KINDS: typing.Dict[str, type] = {
 }
 
 
+#: kind -> fields holding a mapping, which JSON writes as an object
+MAPPING_FIELDS: typing.Dict[str, typing.Tuple[str, ...]] = {
+    "decision": ("credits", "allocations"),
+}
+
+#: kind -> fields holding a tuple, which JSON writes as a list; decoding
+#: turns the list back into a tuple
+TUPLE_FIELDS: typing.Dict[str, typing.Tuple[str, ...]] = {"run_config": ("jobs",)}
+
+
+class HandlerTable(dict):
+    """``record type -> handler`` lookup for the consumers of a record stream.
+
+    Built from handlers keyed by record class.  A type the table has not
+    seen resolves once, through its MRO, to the handler of its nearest
+    registered base (``None`` when it has none) and is cached, so a
+    record subclass is handled as an ``isinstance`` chain over the
+    registered classes would handle it.
+    """
+
+    def __init__(self, handlers: typing.Mapping[type, typing.Any]) -> None:
+        super().__init__(handlers)
+        self._registered = dict(handlers)
+
+    def __missing__(self, cls: type) -> typing.Any:
+        handler = next(
+            (self._registered[base] for base in cls.__mro__ if base in self._registered),
+            None,
+        )
+        self[cls] = handler
+        return handler
+
+
+#: value types JSON already writes as themselves (no container to copy)
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def field_names(cls: type) -> typing.Tuple[str, ...]:
+    """A record class's field names in declaration order (cached per class)."""
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 def record_to_dict(record: TraceRecord) -> typing.Dict[str, object]:
     """Flatten a record to a plain dict, with its ``kind`` included."""
     out: typing.Dict[str, object] = {"kind": record.kind}
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, typing.Mapping):
-            value = dict(value)
-        out[field.name] = value
+    for name in field_names(type(record)):
+        value = getattr(record, name)
+        if type(value) not in _SCALAR_TYPES:
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, typing.Mapping):
+                value = dict(value)
+        out[name] = value
     return out
 
 
@@ -225,8 +270,9 @@ def record_from_dict(data: typing.Mapping[str, object]) -> TraceRecord:
     if cls is None:
         raise ValueError(f"unknown trace record kind {kind!r}")
     kwargs = {k: v for k, v in data.items() if k != "kind"}
-    if "jobs" in kwargs and isinstance(kwargs["jobs"], list):
-        kwargs["jobs"] = tuple(kwargs["jobs"])
+    for name in TUPLE_FIELDS.get(cls.kind, ()):
+        if isinstance(kwargs.get(name), list):
+            kwargs[name] = tuple(kwargs[name])
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -18,6 +18,7 @@ import typing
 from repro.core.system import SystemResult
 from repro.obs.records import (
     Dispatch,
+    HandlerTable,
     JobArrival,
     JobCancelled,
     JobDeparture,
@@ -54,45 +55,73 @@ class ReplaySummary:
         return sum(j.response_time for j in self.jobs.values()) / len(self.jobs)
 
 
+class _Replay:
+    """What :func:`replay` accumulates while walking the records."""
+
+    def __init__(self) -> None:
+        self.arrivals: typing.Dict[str, float] = {}
+        self.departures: typing.Dict[str, float] = {}
+        self.reallocations: typing.Dict[str, int] = {}
+        self.affine: typing.Dict[str, int] = {}
+        self.penalties: typing.Dict[str, float] = {}
+        self.switches: typing.Dict[str, float] = {}
+        self.cancelled: typing.Dict[str, float] = {}
+        self.makespan: typing.Optional[float] = None
+
+    def arrival(self, record: JobArrival) -> None:
+        self.arrivals[record.job] = record.time
+
+    def departure(self, record: JobDeparture) -> None:
+        self.departures[record.job] = record.time
+
+    def cancellation(self, record: JobCancelled) -> None:
+        self.cancelled[record.job] = record.time
+
+    def dispatch(self, record: Dispatch) -> None:
+        if not record.cheap:
+            job = record.job
+            self.reallocations[job] = self.reallocations.get(job, 0) + 1
+            if record.affine:
+                self.affine[job] = self.affine.get(job, 0) + 1
+            self.penalties[job] = self.penalties.get(job, 0.0) + record.penalty_s
+            self.switches[job] = self.switches.get(job, 0.0) + record.switch_s
+
+    def run_end(self, record: RunEnd) -> None:
+        self.makespan = record.makespan
+
+
+#: record type -> the :class:`_Replay` method that folds it in
+_REPLAY_STEPS = HandlerTable({
+    JobArrival: _Replay.arrival,
+    JobDeparture: _Replay.departure,
+    JobCancelled: _Replay.cancellation,
+    Dispatch: _Replay.dispatch,
+    RunEnd: _Replay.run_end,
+})
+
+
 def replay(records: typing.Iterable[TraceRecord]) -> ReplaySummary:
     """Derive per-job aggregates from ``records`` alone."""
-    arrivals: typing.Dict[str, float] = {}
-    departures: typing.Dict[str, float] = {}
-    reallocations: typing.Dict[str, int] = {}
-    affine: typing.Dict[str, int] = {}
-    penalties: typing.Dict[str, float] = {}
-    switches: typing.Dict[str, float] = {}
-    cancelled: typing.Dict[str, float] = {}
-    makespan: typing.Optional[float] = None
+    acc = _Replay()
+    steps = _REPLAY_STEPS
     for record in records:
-        if isinstance(record, JobArrival):
-            arrivals[record.job] = record.time
-        elif isinstance(record, JobDeparture):
-            departures[record.job] = record.time
-        elif isinstance(record, JobCancelled):
-            cancelled[record.job] = record.time
-        elif isinstance(record, Dispatch):
-            if not record.cheap:
-                reallocations[record.job] = reallocations.get(record.job, 0) + 1
-                if record.affine:
-                    affine[record.job] = affine.get(record.job, 0) + 1
-                penalties[record.job] = penalties.get(record.job, 0.0) + record.penalty_s
-                switches[record.job] = switches.get(record.job, 0.0) + record.switch_s
-        elif isinstance(record, RunEnd):
-            makespan = record.makespan
+        step = steps[type(record)]
+        if step is not None:
+            step(acc, record)
+    arrivals = acc.arrivals
     jobs = {
         name: ReplayedJob(
             name=name,
-            response_time=departures[name] - arrivals[name],
-            n_reallocations=reallocations.get(name, 0),
-            n_affine=affine.get(name, 0),
-            cache_penalty_total=penalties.get(name, 0.0),
-            switch_overhead_total=switches.get(name, 0.0),
+            response_time=departure - arrivals[name],
+            n_reallocations=acc.reallocations.get(name, 0),
+            n_affine=acc.affine.get(name, 0),
+            cache_penalty_total=acc.penalties.get(name, 0.0),
+            switch_overhead_total=acc.switches.get(name, 0.0),
         )
-        for name in departures
+        for name, departure in acc.departures.items()
         if name in arrivals
     }
-    return ReplaySummary(jobs=jobs, makespan=makespan, cancelled=cancelled)
+    return ReplaySummary(jobs=jobs, makespan=acc.makespan, cancelled=acc.cancelled)
 
 
 def verify_replay(

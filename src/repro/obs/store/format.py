@@ -25,9 +25,10 @@ object::
                                                  # kind_table
      "columns":    {"alloc": {"cpu": [...], "time": [...], ...}, ...}}
 
-so the exact interleaving of record kinds is preserved — decoding walks
-``order`` and pops the next row of the named kind's columns, which makes
-the JSONL -> columnar -> JSONL round trip byte-identical.
+so the exact interleaving of record kinds is preserved — decoding builds
+each kind's records from its columns, then walks ``order`` taking the
+next record of the named kind, which makes the JSONL -> columnar ->
+JSONL round trip byte-identical.
 
 The footer carries the schema version, per-kind field lists (checked
 against :data:`repro.obs.records.RECORD_KINDS` on read, so a file
@@ -44,11 +45,13 @@ time.  Neither ever materializes the whole trace.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import operator
 import os
 import struct
 import tempfile
@@ -57,10 +60,11 @@ import zlib
 
 from repro import ioutil
 from repro.obs.records import (
+    MAPPING_FIELDS,
     RECORD_KINDS,
+    TUPLE_FIELDS,
     TraceRecord,
-    record_from_dict,
-    record_to_dict,
+    field_names,
 )
 
 #: Columnar container schema identifier, bumped on incompatible changes.
@@ -87,13 +91,15 @@ class ColumnarFormatError(ValueError):
     """
 
 
-def _field_names(cls: type) -> typing.List[str]:
-    return [field.name for field in dataclasses.fields(cls)]
-
-
 #: kind -> ordered field names, the column layout contract.
 KIND_FIELDS: typing.Dict[str, typing.List[str]] = {
-    kind: _field_names(cls) for kind, cls in RECORD_KINDS.items()
+    kind: list(field_names(cls)) for kind, cls in RECORD_KINDS.items()
+}
+
+#: kind -> reader of one record's fields, in column order, as a row tuple
+#: (every kind has ``time`` plus at least one field, so it is a tuple).
+_ROW_GETTERS = {
+    kind: operator.attrgetter(*names) for kind, names in KIND_FIELDS.items()
 }
 
 
@@ -225,31 +231,29 @@ class ColumnarTraceWriter:
     feed = write
 
     def _flush_chunk(self) -> None:
-        if not self._buffer:
+        buffer = self._buffer
+        if not buffer:
             return
-        kind_table: typing.List[str] = []
-        kind_index: typing.Dict[str, int] = {}
+        # kind -> (index into kind_table, its rows); dicts keep first-seen
+        # order, which is the kind table's order.
+        slots: typing.Dict[str, typing.Tuple[int, typing.List[tuple]]] = {}
         order: typing.List[int] = []
-        columns: typing.Dict[str, typing.Dict[str, typing.List[typing.Any]]] = {}
-        time_min = float("inf")
-        time_max = float("-inf")
-        for record in self._buffer:
+        for record in buffer:
             kind = record.kind
-            index = kind_index.get(kind)
-            if index is None:
-                index = kind_index[kind] = len(kind_table)
-                kind_table.append(kind)
-                columns[kind] = {name: [] for name in KIND_FIELDS[kind]}
-            order.append(index)
-            row = record_to_dict(record)
-            for name in KIND_FIELDS[kind]:
-                columns[kind][name].append(row[name])
-            self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-            time_min = min(time_min, record.time)
-            time_max = max(time_max, record.time)
+            slot = slots.get(kind)
+            if slot is None:
+                slot = slots[kind] = (len(slots), [])
+            order.append(slot[0])
+            slot[1].append(_ROW_GETTERS[kind](record))
+        columns: typing.Dict[str, typing.Dict[str, typing.Any]] = {}
+        for kind, (_, rows) in slots.items():
+            kind_columns = dict(zip(KIND_FIELDS[kind], zip(*rows)))
+            for name in MAPPING_FIELDS.get(kind, ()):
+                kind_columns[name] = [dict(value) for value in kind_columns[name]]
+            columns[kind] = kind_columns
         payload = zlib.compress(
             _canonical_json(
-                {"kind_table": kind_table, "order": order, "columns": columns}
+                {"kind_table": list(slots), "order": order, "columns": columns}
             ),
             level=6,
         )
@@ -257,17 +261,21 @@ class ColumnarTraceWriter:
         self._write_bytes(CHUNK_MAGIC)
         self._write_bytes(struct.pack(">I", len(payload)))
         self._write_bytes(payload)
+        kind_counts = {kind: len(rows) for kind, (_, rows) in slots.items()}
+        for kind, count in kind_counts.items():
+            self._kind_counts[kind] = self._kind_counts.get(kind, 0) + count
+        times = [record.time for record in buffer]
         self._chunks.append(
             ChunkInfo(
                 offset=offset,
                 length=len(payload),
-                n_records=len(self._buffer),
-                time_min=time_min,
-                time_max=time_max,
-                kind_counts={k: order.count(i) for k, i in kind_index.items()},
+                n_records=len(buffer),
+                time_min=min(times),
+                time_max=max(times),
+                kind_counts=kind_counts,
             )
         )
-        self._n_records += len(self._buffer)
+        self._n_records += len(buffer)
         self._buffer = []
 
     def close(self) -> None:
@@ -443,40 +451,87 @@ def _parse_footer(data: bytes, source: str, verify_digest: bool = True) -> Foote
     )
 
 
-def _decode_chunk(
-    blob: bytes, source: str
-) -> typing.Iterator[TraceRecord]:
+def _decode_chunk(blob: bytes, source: str) -> typing.List[TraceRecord]:
+    """One chunk's records in stream order.
+
+    Each kind's records are built positionally from its columns, then
+    ``order`` interleaves them back into the stream.
+    """
     try:
         payload = json.loads(zlib.decompress(blob).decode("utf-8"))
         kind_table = payload["kind_table"]
         order = payload["order"]
         columns = payload["columns"]
-    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        zlib.error, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+    ) as exc:
         raise ColumnarFormatError(f"{source}: chunk is unreadable ({exc})") from exc
-    cursors = {kind: 0 for kind in kind_table}
-    for index in order:
-        try:
-            kind = kind_table[index]
-        except (IndexError, TypeError) as exc:
+    if not (
+        isinstance(kind_table, list)
+        and isinstance(order, list)
+        and isinstance(columns, dict)
+    ):
+        raise ColumnarFormatError(
+            f"{source}: chunk kind_table, order and columns must be a list, "
+            "a list and an object"
+        )
+    try:
+        counts = collections.Counter(order)
+    except TypeError as exc:
+        raise ColumnarFormatError(
+            f"{source}: chunk order holds a non-integer kind index ({exc})"
+        ) from exc
+    for index in counts:
+        if type(index) is not int or not 0 <= index < len(kind_table):
             raise ColumnarFormatError(
                 f"{source}: chunk order references kind #{index!r} outside "
-                f"its kind table"
-            ) from exc
-        row_index = cursors[kind]
-        cursors[kind] = row_index + 1
-        kind_columns = columns[kind]
-        row: typing.Dict[str, typing.Any] = {"kind": kind}
-        try:
-            for name in KIND_FIELDS[kind]:
-                row[name] = kind_columns[name][row_index]
-        except (KeyError, IndexError) as exc:
+                f"its kind table of {len(kind_table)} kinds"
+            )
+    next_record: typing.List[typing.Callable[[], TraceRecord]] = []
+    for index, kind in enumerate(kind_table):
+        if not isinstance(kind, str) or kind not in KIND_FIELDS:
             raise ColumnarFormatError(
-                f"{source}: chunk columns for {kind!r} are ragged ({exc})"
-            ) from exc
-        try:
-            yield record_from_dict(row)
-        except ValueError as exc:
-            raise ColumnarFormatError(f"{source}: {exc}") from exc
+                f"{source}: chunk holds unknown record kind {kind!r}"
+            )
+        if kind in kind_table[:index]:
+            raise ColumnarFormatError(
+                f"{source}: chunk kind table lists {kind!r} twice"
+            )
+        records = _decode_kind(kind, columns, counts.get(index, 0), source)
+        next_record.append(iter(records).__next__)
+    return [next_record[index]() for index in order]
+
+
+def _decode_kind(
+    kind: str,
+    columns: typing.Mapping[str, typing.Any],
+    n_rows: int,
+    source: str,
+) -> typing.List[TraceRecord]:
+    """The ``n_rows`` records of ``kind`` built from its chunk columns."""
+    kind_columns = columns.get(kind)
+    if not isinstance(kind_columns, dict):
+        raise ColumnarFormatError(f"{source}: chunk has no columns for {kind!r}")
+    values = []
+    for name in KIND_FIELDS[kind]:
+        column = kind_columns.get(name)
+        if not isinstance(column, list):
+            raise ColumnarFormatError(
+                f"{source}: chunk has no {name!r} column for {kind!r}"
+            )
+        if len(column) != n_rows:
+            raise ColumnarFormatError(
+                f"{source}: chunk columns for {kind!r} are ragged: {name!r} "
+                f"has {len(column)} values, the chunk order assigns {n_rows} rows"
+            )
+        if name in TUPLE_FIELDS.get(kind, ()):
+            column = [
+                tuple(value) if isinstance(value, list) else value
+                for value in column
+            ]
+        values.append(column)
+    cls = RECORD_KINDS[kind]
+    return [cls(*row) for row in zip(*values)]
 
 
 def iter_columnar(

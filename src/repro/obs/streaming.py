@@ -37,6 +37,7 @@ from repro.obs.records import (
     CpuRecovery,
     Dispatch,
     EngineEvent,
+    HandlerTable,
     JobArrival,
     JobCancelled,
     JobDeparture,
@@ -74,45 +75,78 @@ class StreamingMetrics:
 
     def feed(self, record: TraceRecord) -> None:
         """Apply one record's metric contributions to the registry."""
-        metrics = self.registry
-        if isinstance(record, Dispatch):
-            metrics.counter("dispatch/total").inc()
-            metrics.histogram("dispatch/ready_depth").observe(record.ready_depth)
-            if not record.cheap:
-                metrics.counter("dispatch/reallocations").inc()
-                if record.affine:
-                    metrics.counter("dispatch/affine").inc()
-                metrics.counter("dispatch/cache_penalty_s").inc(record.penalty_s)
-                metrics.counter("dispatch/switch_overhead_s").inc(record.switch_s)
-                metrics.histogram("dispatch/penalty_s").observe(record.penalty_s)
-        elif isinstance(record, Undispatch):
-            if record.reason == "preempt":
-                metrics.counter("dispatch/preemptions").inc()
-        elif isinstance(record, PolicyDecision):
-            metrics.counter(f"policy/decisions/{record.rule}").inc()
-        elif isinstance(record, AllocationChange):
-            metrics.counter("alloc/changes").inc()
-        elif isinstance(record, JobArrival):
-            metrics.counter("jobs/arrived").inc()
-        elif isinstance(record, JobDeparture):
-            metrics.counter("jobs/completed").inc()
-            metrics.histogram("jobs/response_s").observe(record.response_time)
-        elif isinstance(record, JobCancelled):
-            metrics.counter("jobs/cancelled").inc()
-            metrics.counter("jobs/cancelled_work_s").inc(record.work_done)
-        elif isinstance(record, CpuFailure):
-            metrics.counter("cpu/failures").inc()
-        elif isinstance(record, CacheFlush):
-            metrics.counter("cpu/flushed_lines").inc(record.lines)
-        elif isinstance(record, CpuRecovery):
-            metrics.counter("cpu/recoveries").inc()
-        elif isinstance(record, RunEnd):
-            metrics.gauge("run/makespan_s").set(record.makespan)
-            metrics.counter("run/events_fired").inc(record.events_fired)
+        apply = _METRIC_UPDATES[type(record)]
+        if apply is not None:
+            apply(self.registry, record)
 
     def snapshot(self) -> typing.Dict[str, typing.Any]:
         """The derived registry's snapshot (see ``MetricsRegistry``)."""
         return self.registry.snapshot()
+
+
+def _dispatch_metrics(metrics: MetricsRegistry, record: Dispatch) -> None:
+    metrics.counter("dispatch/total").inc()
+    metrics.histogram("dispatch/ready_depth").observe(record.ready_depth)
+    if not record.cheap:
+        metrics.counter("dispatch/reallocations").inc()
+        if record.affine:
+            metrics.counter("dispatch/affine").inc()
+        metrics.counter("dispatch/cache_penalty_s").inc(record.penalty_s)
+        metrics.counter("dispatch/switch_overhead_s").inc(record.switch_s)
+        metrics.histogram("dispatch/penalty_s").observe(record.penalty_s)
+
+
+def _undispatch_metrics(metrics: MetricsRegistry, record: Undispatch) -> None:
+    if record.reason == "preempt":
+        metrics.counter("dispatch/preemptions").inc()
+
+
+def _decision_metrics(metrics: MetricsRegistry, record: PolicyDecision) -> None:
+    metrics.counter(f"policy/decisions/{record.rule}").inc()
+
+
+def _departure_metrics(metrics: MetricsRegistry, record: JobDeparture) -> None:
+    metrics.counter("jobs/completed").inc()
+    metrics.histogram("jobs/response_s").observe(record.response_time)
+
+
+def _cancellation_metrics(metrics: MetricsRegistry, record: JobCancelled) -> None:
+    metrics.counter("jobs/cancelled").inc()
+    metrics.counter("jobs/cancelled_work_s").inc(record.work_done)
+
+
+def _flush_metrics(metrics: MetricsRegistry, record: CacheFlush) -> None:
+    metrics.counter("cpu/flushed_lines").inc(record.lines)
+
+
+def _run_end_metrics(metrics: MetricsRegistry, record: RunEnd) -> None:
+    metrics.gauge("run/makespan_s").set(record.makespan)
+    metrics.counter("run/events_fired").inc(record.events_fired)
+
+
+def _count(name: str) -> typing.Callable[[MetricsRegistry, TraceRecord], None]:
+    """An update that adds one to counter ``name``."""
+
+    def update(metrics: MetricsRegistry, record: TraceRecord) -> None:
+        metrics.counter(name).inc()
+
+    return update
+
+
+#: record type -> its metric contributions; other records contribute none
+_METRIC_UPDATES = HandlerTable({
+    Dispatch: _dispatch_metrics,
+    Undispatch: _undispatch_metrics,
+    PolicyDecision: _decision_metrics,
+    AllocationChange: _count("alloc/changes"),
+    JobArrival: _count("jobs/arrived"),
+    JobDeparture: _departure_metrics,
+    JobCancelled: _cancellation_metrics,
+    CpuFailure: _count("cpu/failures"),
+    CacheFlush: _flush_metrics,
+    CpuRecovery: _count("cpu/recoveries"),
+    RunEnd: _run_end_metrics,
+})
 
 
 def derive_metrics(

@@ -8,7 +8,11 @@ reader pull one record kind or time range without decoding everything;
 loudly, never returned as quietly wrong data.
 """
 
+import dataclasses
+import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +50,7 @@ from repro.obs.store import (
     sniff_format,
     write_columnar,
 )
+from repro.obs.store import format as columnar
 from repro.reporting.obs_export import trace_to_jsonl
 from tests.core.helpers import flat_job
 
@@ -247,3 +252,125 @@ def test_record_dicts_survive_canonical_json(real_trace):
     for record in real_trace[:200]:
         payload = json.dumps(record_to_dict(record), sort_keys=True)
         assert json.loads(payload)["kind"] == record.kind
+
+
+# --- the writer's chunk payloads, against the record_to_dict encoding ---
+
+
+def _reference_chunk(records):
+    """A chunk payload built record by record from :func:`record_to_dict`."""
+    kind_table, order, columns = [], [], {}
+    for record in records:
+        row = record_to_dict(record)
+        kind = row.pop("kind")
+        if kind not in columns:
+            kind_table.append(kind)
+            columns[kind] = {name: [] for name in columnar.KIND_FIELDS[kind]}
+        order.append(kind_table.index(kind))
+        for name, value in row.items():
+            columns[kind][name].append(value)
+    return {"kind_table": kind_table, "order": order, "columns": columns}
+
+
+def _chunk_blobs(data):
+    footer = columnar._parse_footer(data, source="test")
+    return footer, [
+        data[info.offset + 8 : info.offset + 8 + info.length]
+        for info in footer.chunks
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=record_streams, chunk=st.integers(min_value=1, max_value=16))
+def test_chunk_payloads_match_record_dicts(records, chunk):
+    """Every chunk is the canonical JSON of its records' dicts, and the
+    index holds their exact time range and kind counts."""
+    footer, blobs = _chunk_blobs(columnar.columnar_to_bytes(records, chunk))
+    for k, (info, blob) in enumerate(zip(footer.chunks, blobs)):
+        part = records[k * chunk : (k + 1) * chunk]
+        assert zlib.decompress(blob) == columnar._canonical_json(
+            _reference_chunk(part)
+        )
+        assert (info.time_min, info.time_max) == (
+            min(r.time for r in part), max(r.time for r in part)
+        )
+        reference = _reference_chunk(part)
+        assert info.kind_counts == {
+            kind: reference["order"].count(i)
+            for i, kind in enumerate(reference["kind_table"])
+        }
+
+
+# --- reader damage: a chunk the digest accepts but the decoder must refuse ---
+
+
+def _reseal(data, mutate):
+    """``data`` with each chunk's decoded payload edited by ``mutate``.
+
+    The chunks, the footer index and the sha256 tail are rebuilt, so the
+    file passes every framing and digest check and only the chunk
+    decoder can refuse it.
+    """
+    footer, blobs = _chunk_blobs(data)
+    out = bytearray(columnar.MAGIC)
+    chunks = []
+    for info, blob in zip(footer.chunks, blobs):
+        payload = json.loads(zlib.decompress(blob))
+        mutate(payload)
+        new = zlib.compress(columnar._canonical_json(payload), 6)
+        chunks.append(dataclasses.replace(info, offset=len(out), length=len(new)))
+        out += columnar.CHUNK_MAGIC + struct.pack(">I", len(new)) + new
+    footer_offset = len(out)
+    index = zlib.compress(
+        columnar._canonical_json(dataclasses.replace(footer, chunks=chunks).to_dict()),
+        6,
+    )
+    out += columnar.FOOTER_MAGIC + struct.pack(">I", len(index)) + index
+    out += struct.pack(">Q", footer_offset)
+    out += hashlib.sha256(bytes(out)).digest() + columnar.END_MAGIC
+    return bytes(out)
+
+
+def _drop_last_cpu(payload):
+    payload["columns"]["dispatch"]["cpu"].pop()
+
+
+def _drop_worker_column(payload):
+    del payload["columns"]["dispatch"]["worker"]
+
+
+def _order_past_table(payload):
+    payload["order"][0] = len(payload["kind_table"])
+
+
+def _negative_order(payload):
+    payload["order"][0] = -1
+
+
+def _unknown_kind(payload):
+    old = payload["kind_table"][0]
+    payload["kind_table"][0] = "bogus"
+    payload["columns"]["bogus"] = payload["columns"].pop(old)
+
+
+def _duplicate_kind(payload):
+    payload["kind_table"].append(payload["kind_table"][0])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop_last_cpu, r"columns for 'dispatch' are ragged: 'cpu' has \d+ values, "
+                     r"the chunk order assigns \d+ rows"),
+    (_drop_worker_column, r"no 'worker' column for 'dispatch'"),
+    (_order_past_table, r"order references kind #\d+ outside its kind table"),
+    (_negative_order, r"order references kind #-1 outside its kind table"),
+    (_unknown_kind, r"unknown record kind 'bogus'"),
+    (_duplicate_kind, r"kind table lists '\w+' twice"),
+])
+def test_damaged_chunk_is_refused(tmp_path, real_trace, mutate, message):
+    data = columnar.columnar_to_bytes(real_trace, chunk_records=256)
+    assert _reseal(data, lambda payload: None) == data
+    bad = tmp_path / "bad.col"
+    bad.write_bytes(_reseal(data, mutate))
+    read_footer(str(bad))  # the framing and the digest are intact
+    with pytest.raises(ColumnarFormatError, match=message):
+        list(iter_columnar(str(bad)))

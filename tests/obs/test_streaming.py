@@ -9,6 +9,7 @@ so every disruption kind (cancellations, failures, recoveries, flushes)
 flows through the streaming path under test.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -149,3 +150,34 @@ class TestStreamingMetricsScope:
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
         assert snap["histograms"] == {}
+
+
+def _tagged(record, **changes):
+    """``record`` (a Dispatch) rebuilt as a TaggedDispatch."""
+    from tests.obs.test_records import TaggedDispatch
+
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return TaggedDispatch(**{**fields, **changes})
+
+
+class TestRecordSubclasses:
+    """Consumers dispatch on type, resolving a subclass to its base."""
+
+    def test_subclass_is_handled_as_its_base(self):
+        from repro.obs.replay import replay
+
+        records, _, _ = _traced_run("steady", DYN_AFF, 0)
+        tagged = [_tagged(r) if r.kind == "dispatch" else r for r in records]
+        assert derive_metrics(tagged).snapshot() == derive_metrics(records).snapshot()
+        assert replay(tagged) == replay(records)
+        # a dispatch onto a cpu its job does not own is still caught
+        moved = [
+            dataclasses.replace(r, cpu=(r.cpu + 1) % P) if r.kind == "dispatch" else r
+            for r in records
+        ]
+        moved_tagged = [
+            _tagged(r, cpu=(r.cpu + 1) % P) if r.kind == "dispatch" else r
+            for r in records
+        ]
+        assert check_trace(moved)
+        assert check_trace(moved_tagged) == check_trace(moved)
