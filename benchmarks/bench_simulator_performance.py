@@ -2,8 +2,8 @@
 
 Unlike the experiment benchmarks (which run once and check shapes), these
 use pytest-benchmark's repeated timing to track the throughput of the
-hot paths: the event queue, the cache simulator, the footprint model, and
-a full scheduling run.  Regressions here make every experiment slower.
+hot paths: the event queue, the cache simulator, the footprint model, the
+thread-completion path, and a full scheduling run.  Regressions here make every experiment slower.
 """
 
 import os
@@ -17,6 +17,7 @@ from repro.apps.reference import ReferenceGenerator, ReferenceSpec
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
 from repro.core.system import SchedulingSystem
 from repro.engine.queue import EventQueue
+from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.machine.backends import numpy_available
 from repro.machine.batching import DEFAULT_CHUNK
@@ -24,7 +25,8 @@ from repro.machine.cache import SetAssociativeCache
 from repro.machine.footprint import FootprintCurve, FootprintModel
 from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.penalty import PenaltyExperiment
-from repro.measure.runner import run_mix
+from repro.measure.runner import DEFAULT_PROCESSORS, run_mix
+from repro.measure.workloads import make_jobs
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cells import mix_comparison
 from tests.core.helpers import flat_job, phased_job
@@ -491,6 +493,40 @@ def test_scheduling_run_full_mix(benchmark):
         run_mix, args=(5, DYN_AFF), kwargs={"seed": 0}, rounds=3, iterations=1
     )
     assert result.jobs
+
+
+def test_thread_completion_path(benchmark):
+    """Workload #5 under Dyn-Aff with the jobs already built: the run loop
+    and the per-completion work (rules D.1-D.3 on almost every event).
+
+    Adds the median cost per fired event to the benchmark record.
+    """
+    fired = []
+
+    def build():
+        rng = RngRegistry(0)
+        jobs = make_jobs(5, rng.spawn("workload"), n_processors=DEFAULT_PROCESSORS)
+        system = SchedulingSystem(
+            jobs, DYN_AFF, n_processors=DEFAULT_PROCESSORS, seed=0,
+            rng=rng.spawn(f"system/{DYN_AFF.name}"),
+        )
+        return (system,), {}
+
+    def run(system):
+        result = system.run()
+        fired.append(system.sim.events_fired)
+        return result
+
+    result = benchmark.pedantic(run, setup=build, rounds=5, iterations=1)
+    assert set(result.jobs) == {"MATRIX", "GRAVITY"}
+    events = fired[0]
+    assert fired == [events] * len(fired)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    us = 1e6 * benchmark.stats.stats.median / events
+    benchmark.extra_info["events"] = events
+    benchmark.extra_info["us_per_event"] = round(us, 3)
+    print(f"\n{benchmark.name}: {us:.2f} us/event over {events} events")
 
 
 @pytest.fixture(scope="module")

@@ -331,10 +331,23 @@ class Allocator:
         self.system.grant_processor(proc, job, worker=worker)
 
     def new_work(self, job: Job) -> None:
-        """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
+        """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2.
+
+        The hottest decision entry point (once per thread completion that
+        leaves work queued), so it checks the profiler inline instead of
+        going through :meth:`_profiled`.
+        """
         if self.policy.is_equipartition:
             return  # its processors were already used by the system
-        self._profiled("policy/new_work", self._new_work_impl, job)
+        prof = self.system.profiler
+        if prof is None or not prof.enabled:  # type: ignore[attr-defined]
+            self._new_work_impl(job)
+            return
+        prof.push("policy/new_work")  # type: ignore[attr-defined]
+        try:
+            self._new_work_impl(job)
+        finally:
+            prof.pop()  # type: ignore[attr-defined]
 
     def _new_work_impl(self, job: Job) -> None:
         while True:
@@ -387,13 +400,15 @@ class Allocator:
 
     def _take_free(self, job: Job) -> typing.Optional[ProcessorRecord]:
         """Rule D.1."""
-        return self._pick_with_affinity(job, self.system.free_pool)
+        free = self.system.free_pool
+        return self._pick_with_affinity(job, free) if free else None
 
     def _take_willing(self, job: Job) -> typing.Optional[ProcessorRecord]:
         """Rule D.2: claim a processor out of another job's yield window."""
-        proc = self._pick_with_affinity(
-            job, [p for p in self.system.willing_pool if p.job is not job]
-        )
+        willing = self.system.willing_pool
+        if not willing:
+            return None
+        proc = self._pick_with_affinity(job, [p for p in willing if p.job is not job])
         if proc is None:
             return None
         self.system.release_processor(proc)
@@ -405,16 +420,27 @@ class Allocator:
             return None  # Dyn-Aff-NoPri ignores D.3 entirely
         allocation = self.system.allocation
         my_alloc = allocation(job)
-        victims = [
-            (allocation(other), other)
-            for other in self.jobs
-            if other is not job and not other.finished
-        ]
-        if not victims:
+        # The largest allocation wins; equal allocations go to the name
+        # that sorts first.
+        victim: typing.Optional[Job] = None
+        victim_alloc = 0
+        for other in self.jobs:
+            if other is job or other.finished:
+                continue
+            other_alloc = allocation(other)
+            if (
+                victim is None
+                or other_alloc > victim_alloc
+                or (other_alloc == victim_alloc and other.name < victim.name)
+            ):
+                victim, victim_alloc = other, other_alloc
+        if victim is None:
             return None
-        victim_alloc, victim = min(victims, key=lambda item: (-item[0], item[1].name))
-        self.credit.refresh(job, self.system.now)
-        self.credit.refresh(victim, self.system.now)
+        # Both refreshes run on every attempt, requester first: credits
+        # are clamped sums, so the refresh cadence is part of their floats.
+        now = self.system.sim.now
+        self.credit.refresh(job, now)
+        self.credit.refresh(victim, now)
         if not self.credit.may_preempt(job, my_alloc, victim, victim_alloc):
             return None
         owned_busy = [p for p in self.system.owned(victim) if p.worker is not None]

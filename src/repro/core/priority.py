@@ -79,7 +79,12 @@ class CreditScheduler:
         if elapsed > 0:
             delta = (self.equal_share() - self._allocation[name]) * elapsed
             credit = self._credit[name] + delta
-            self._credit[name] = max(-self.CREDIT_CAP, min(self.CREDIT_CAP, credit))
+            cap = self.CREDIT_CAP
+            if credit > cap:
+                credit = cap
+            elif credit < -cap:
+                credit = -cap
+            self._credit[name] = credit
         self._last_update[name] = now
 
     def set_allocation(self, job: "Job", allocation: int, now: float) -> None:

@@ -211,23 +211,24 @@ class SchedulingSystem:
                 continue  # cancelled before the run started
             self._arrival_handles[job.name] = self.sim.at(
                 arrival,
-                lambda j=job: self._arrive(j),
+                self._arrive,
                 priority=_ARRIVAL_PRIORITY,
-                label=f"arrive:{job.name}",
+                label=("arrive:{}", job.name),
+                args=(job,),
             )
-        self.sim.run(until=until)
+        end = self.sim.run(until=until)
         if self.trace is not None:
-            self.trace.finish(self.now)
+            self.trace.finish(end)
         if tr is not None and tr.enabled:
             tr.emit(
                 RunEnd(
-                    time=self.now,
-                    makespan=self.now,
+                    time=end,
+                    makespan=end,
                     events_fired=self.sim.events_fired,
                 )
             )
         if self.metrics is not None:
-            self.metrics.gauge("run/makespan_s").set(self.now)
+            self.metrics.gauge("run/makespan_s").set(end)
             self.metrics.counter("run/events_fired").inc(self.sim.events_fired)
         unfinished = [
             job.name for job in self.jobs if not job.finished and not job.cancelled
@@ -241,7 +242,7 @@ class SchedulingSystem:
             policy=self.policy.name,
             n_processors=len(self.allocator.procs),
             seed=self.seed,
-            makespan=self.now,
+            makespan=end,
             jobs=metrics,
             cancelled={
                 job.name: job.cancelled_time
@@ -254,25 +255,27 @@ class SchedulingSystem:
     # arrival / completion
 
     def _arrive(self, job: Job) -> None:
-        job.start(self.now)
-        self._alloc_mark[job.name] = self.now
+        now = self.sim.now
+        job.start(now)
+        self._alloc_mark[job.name] = now
         self._owned[job] = []
         self._held_idle[job] = []
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(JobArrival(time=self.now, job=job.name))
+            tr.emit(JobArrival(time=now, job=job.name))
         if self.metrics is not None:
             self.metrics.counter("jobs/arrived").inc()
         self.allocator.job_arrived(job)
 
     def _complete_job(self, job: Job) -> None:
-        job.completion_time = self.now
+        now = self.sim.now
+        job.completion_time = now
         self._touch_allocation(job)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 JobDeparture(
-                    time=self.now,
+                    time=now,
                     job=job.name,
                     response_time=job.response_time,
                     n_reallocations=job.n_reallocations,
@@ -311,11 +314,11 @@ class SchedulingSystem:
             handle = self._arrival_handles.get(job.name)
             if handle is not None:
                 self.sim.cancel(handle)
-        job.cancelled_time = self.now
+        now = job.cancelled_time = self.sim.now
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
-                JobCancelled(time=self.now, job=job.name, work_done=job.work_done)
+                JobCancelled(time=now, job=job.name, work_done=job.work_done)
             )
         if self.metrics is not None:
             self.metrics.counter("jobs/cancelled").inc()
@@ -350,8 +353,9 @@ class SchedulingSystem:
         lost = float(flush(cpu_id)) if flush is not None else 0.0
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(CpuFailure(time=self.now, cpu=cpu_id))
-            tr.emit(CacheFlush(time=self.now, cpu=cpu_id, lines=int(lost)))
+            now = self.sim.now
+            tr.emit(CpuFailure(time=now, cpu=cpu_id))
+            tr.emit(CacheFlush(time=now, cpu=cpu_id, lines=int(lost)))
         if self.metrics is not None:
             self.metrics.counter("cpu/failures").inc()
             self.metrics.counter("cpu/flushed_lines").inc(int(lost))
@@ -369,7 +373,7 @@ class SchedulingSystem:
         _insert_by_cpu(self._free, proc)
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(CpuRecovery(time=self.now, cpu=cpu_id))
+            tr.emit(CpuRecovery(time=self.sim.now, cpu=cpu_id))
         if self.metrics is not None:
             self.metrics.counter("cpu/recoveries").inc()
         if self.policy.is_equipartition:
@@ -427,8 +431,9 @@ class SchedulingSystem:
         mark = self._alloc_mark.get(job.name)
         if mark is None:
             return
-        job.allocation_integral += len(self._owned[job]) * (self.now - mark)
-        self._alloc_mark[job.name] = self.now
+        now = self.sim.now
+        job.allocation_integral += len(self._owned[job]) * (now - mark)
+        self._alloc_mark[job.name] = now
 
     def _change_owner(
         self, proc: ProcessorRecord, job: typing.Optional[Job]
@@ -451,12 +456,12 @@ class SchedulingSystem:
             _insert_by_cpu(self._free, proc)
         proc.job = job
         if self.trace is not None:
-            self.trace.record(self.now, proc.cpu_id, job.name if job else None)
+            self.trace.record(self.sim.now, proc.cpu_id, job.name if job else None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 AllocationChange(
-                    time=self.now,
+                    time=self.sim.now,
                     cpu=proc.cpu_id,
                     job=job.name if job else None,
                     prev=old.name if old else None,
@@ -465,13 +470,13 @@ class SchedulingSystem:
         if self.metrics is not None:
             self.metrics.counter("alloc/changes").inc()
 
-    def _vacate(self, proc: ProcessorRecord, job: Job) -> None:
+    def _vacate(self, proc: ProcessorRecord, job: Job, now: float) -> None:
         """The worker on ``proc`` left: ``job`` now holds it idle."""
         proc.worker = None
         _insert_by_cpu(self._held_idle[job], proc)
-        self._note_busy_change(job)
+        self._note_busy_change(job, now)
 
-    def _note_busy_change(self, job: Job) -> None:
+    def _note_busy_change(self, job: Job, now: float) -> None:
         """Tell the credit scheme how many processors ``job`` keeps busy.
 
         Credits reward *using* few processors, so a processor held idle
@@ -479,7 +484,7 @@ class SchedulingSystem:
         owner just as a released one would.
         """
         busy = len(self._owned[job]) - len(self._held_idle[job])
-        self.allocator.credit.set_allocation(job, busy, self.now)
+        self.allocator.credit.set_allocation(job, busy, now)
 
     def _close_yield_window(self, proc: ProcessorRecord) -> None:
         """End ``proc``'s yield-delay window, if open: it leaves the willing pool."""
@@ -511,7 +516,7 @@ class SchedulingSystem:
         was_held = proc.job is job
         self._close_yield_window(proc)
         if proc.idle_since is not None:
-            job.waste += self.now - proc.idle_since
+            job.waste += self.sim.now - proc.idle_since
             proc.idle_since = None
         self._change_owner(proc, job)
         if worker is None:
@@ -520,7 +525,7 @@ class SchedulingSystem:
             )
         if worker is None:
             # Granted ahead of demand (equipartition): hold it idle.
-            proc.idle_since = self.now
+            proc.idle_since = self.sim.now
             return
         self._dispatch(proc, job, worker, was_held=was_held)
 
@@ -528,6 +533,7 @@ class SchedulingSystem:
         self, proc: ProcessorRecord, job: Job, worker: WorkerTask, was_held: bool
     ) -> None:
         """Place ``worker`` on ``proc`` and schedule its thread completion."""
+        now = self.sim.now
         ready_depth = len(job.ready)
         cheap = (
             was_held
@@ -548,16 +554,16 @@ class SchedulingSystem:
                 job.n_affine += 1
             job.cache_penalty_total += penalty
             job.switch_overhead_total += self.machine.context_switch_s
-        worker.note_dispatch(proc.cpu_id, self.now)
+        worker.note_dispatch(proc.cpu_id, now)
         proc.worker = worker
         self._held_idle[job].remove(proc)
         proc.history.record(worker.key)
-        self._note_busy_change(job)
+        self._note_busy_change(job, now)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Dispatch(
-                    time=self.now,
+                    time=now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -592,8 +598,9 @@ class SchedulingSystem:
         worker.stint_penalty_charged = penalty_charged
         worker.completion_handle = self.sim.schedule(
             overhead + worker.remaining_service,
-            lambda: self._on_thread_complete(proc, worker),
-            label=f"complete:{job.name}#{worker.index}",
+            self._on_thread_complete,
+            label=("complete:{}#{}", job.name, worker.index),
+            args=(proc, worker),
         )
 
     def preempt_processor(self, proc: ProcessorRecord) -> None:
@@ -603,10 +610,11 @@ class SchedulingSystem:
             raise RuntimeError(f"processor {proc.cpu_id} is not running a worker")
         job = proc.job
         assert job is not None
+        now = self.sim.now
         if worker.completion_handle is not None:
             self.sim.cancel(worker.completion_handle)
             worker.completion_handle = None
-        elapsed = self.now - worker.segment_start
+        elapsed = now - worker.segment_start
         useful = min(max(0.0, elapsed - worker.stint_overhead), worker.remaining_service)
         job.work_done += useful
         worker.remaining_service -= useful
@@ -622,14 +630,14 @@ class SchedulingSystem:
             )
         worker.stint_switch_charged = 0.0
         worker.stint_penalty_charged = 0.0
-        duration = worker.note_departure(self.now, suspended=True)
+        duration = worker.note_departure(now, suspended=True)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        self._vacate(proc, job)
+        self._vacate(proc, job, now)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Undispatch(
-                    time=self.now,
+                    time=now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -645,7 +653,7 @@ class SchedulingSystem:
             raise RuntimeError(f"release of busy processor {proc.cpu_id}")
         self._close_yield_window(proc)
         if proc.idle_since is not None and proc.job is not None:
-            proc.job.waste += self.now - proc.idle_since
+            proc.job.waste += self.sim.now - proc.idle_since
         proc.idle_since = None
         self._change_owner(proc, None)
 
@@ -653,6 +661,7 @@ class SchedulingSystem:
     # event handlers
 
     def _on_thread_complete(self, proc: ProcessorRecord, worker: WorkerTask) -> None:
+        now = self.sim.now
         job = worker.job
         worker.completion_handle = None
         job.work_done += worker.remaining_service
@@ -663,14 +672,14 @@ class SchedulingSystem:
         job.on_thread_complete(tid)
 
         if job.finished:
-            duration = worker.note_departure(self.now, suspended=False)
+            duration = worker.note_departure(now, suspended=False)
             self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-            self._vacate(proc, job)
+            self._vacate(proc, job, now)
             tr = self.tracer
             if tr is not None and tr.enabled:
                 tr.emit(
                     Undispatch(
-                        time=self.now,
+                        time=now,
                         cpu=proc.cpu_id,
                         job=job.name,
                         worker=worker.index,
@@ -686,31 +695,34 @@ class SchedulingSystem:
             # free of kernel or cache cost.
             worker.current_thread = next_tid
             worker.remaining_service = job.thread_service_for(worker, next_tid)
-            worker.segment_start = self.now
+            worker.segment_start = now
             worker.stint_overhead = 0.0
             worker.stint_switch_charged = 0.0
             worker.stint_penalty_charged = 0.0
             worker.completion_handle = self.sim.schedule(
                 worker.remaining_service,
-                lambda: self._on_thread_complete(proc, worker),
-                label=f"complete:{job.name}#{worker.index}",
+                self._on_thread_complete,
+                label=("complete:{}#{}", job.name, worker.index),
+                args=(proc, worker),
             )
         else:
-            self._worker_idle(proc, worker, job)
+            self._worker_idle(proc, worker, job, now)
 
         if job.ready or job.n_suspended:
             self._place_new_work(job)
 
-    def _worker_idle(self, proc: ProcessorRecord, worker: WorkerTask, job: Job) -> None:
+    def _worker_idle(
+        self, proc: ProcessorRecord, worker: WorkerTask, job: Job, now: float
+    ) -> None:
         """The worker found no runnable thread: depart, then hold or yield."""
-        duration = worker.note_departure(self.now, suspended=False)
+        duration = worker.note_departure(now, suspended=False)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        self._vacate(proc, job)
+        self._vacate(proc, job, now)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Undispatch(
-                    time=self.now,
+                    time=now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -727,13 +739,14 @@ class SchedulingSystem:
             return
 
         if self.policy.is_equipartition:
-            proc.idle_since = self.now
+            proc.idle_since = now
         elif self.policy.yield_delay_s > 0:
-            proc.idle_since = self.now
+            proc.idle_since = now
             proc.yield_handle = self.sim.schedule(
                 self.policy.yield_delay_s,
-                lambda: self._yield_now(proc),
-                label=f"yield:{proc.cpu_id}",
+                self._yield_now,
+                label=("yield:{}", proc.cpu_id),
+                args=(proc,),
             )
             _insert_by_cpu(self._willing, proc)
         else:

@@ -207,14 +207,16 @@ class TimeSharingSystem:
         if run_for >= overhead + worker.remaining_service:
             worker.completion_handle = self.sim.schedule(
                 overhead + worker.remaining_service,
-                lambda: self._on_complete(cpu),
-                label=f"ts-complete:{job.name}#{worker.index}",
+                self._on_complete,
+                label=("ts-complete:{}#{}", job.name, worker.index),
+                args=(cpu,),
             )
         else:
             self._quantum_handles[cpu] = self.sim.schedule(
                 self.policy.quantum_s,
-                lambda: self._on_quantum(cpu),
-                label=f"ts-quantum:{cpu}",
+                self._on_quantum,
+                label=("ts-quantum:{}", cpu),
+                args=(cpu,),
             )
 
     def _depart(self, cpu: int, suspended: bool) -> WorkerTask:
@@ -279,11 +281,11 @@ class TimeSharingSystem:
             run = worker.remaining_service
             if run <= self.policy.quantum_s:
                 worker.completion_handle = self.sim.schedule(
-                    run, lambda: self._on_complete(cpu)
+                    run, self._on_complete, args=(cpu,)
                 )
             else:
                 self._quantum_handles[cpu] = self.sim.schedule(
-                    self.policy.quantum_s, lambda: self._on_quantum(cpu)
+                    self.policy.quantum_s, self._on_quantum, args=(cpu,)
                 )
             # This completion may have readied more threads than this
             # worker can absorb: offer them to idle processors.

@@ -6,9 +6,11 @@ from __future__ import annotations
 class VirtualClock:
     """Monotonic virtual clock measured in seconds.
 
-    The clock only advances through :meth:`advance_to`; the simulator is the
-    sole caller.  Attempting to move backwards is a programming error and
-    raises immediately rather than silently corrupting causality.
+    The clock only advances through :meth:`advance_to`.  Attempting to move
+    backwards is a programming error and raises immediately rather than
+    silently corrupting causality.  :class:`~repro.engine.simulator.
+    Simulator` does not use it: its run loop keeps virtual time itself, so
+    reading ``sim.now`` is one attribute read.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -5,12 +5,15 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.engine.events import DEFAULT_PRIORITY, Event, EventHandle, EventState
+from repro.engine.events import DEFAULT_PRIORITY, Event, EventState, Label
 
 
 #: One heap entry: the ``(time, priority, seq)`` ordering key, then the
 #: event.  ``seq`` is unique, so tuple comparison never reaches the event.
 _Entry = typing.Tuple[float, int, int, Event]
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 _PENDING = EventState.PENDING
 _FIRED = EventState.FIRED
@@ -28,7 +31,7 @@ class EventQueue:
 
     The queue is the sole owner of both the live-event count and every
     lifecycle transition: ``push`` creates events ``PENDING``, ``pop``
-    marks them ``FIRED``, and handle cancellation routes back through
+    marks them ``FIRED``, and :meth:`Event.cancel` routes back through
     :meth:`_cancel` so ``len(queue)`` is exact by construction — there is
     no external notification protocol to get wrong.
     """
@@ -48,19 +51,23 @@ class EventQueue:
     def push(
         self,
         time: float,
-        action: typing.Callable[[], None],
+        handler: typing.Callable[..., None],
         priority: int = DEFAULT_PRIORITY,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule ``action`` at absolute ``time``; returns a cancel handle."""
+        label: Label = "",
+        args: tuple = (),
+    ) -> Event:
+        """Schedule ``handler(*args)`` at absolute ``time``.
+
+        Returns the event, which is also its cancel handle.
+        """
         if time != time:  # NaN guard: a NaN time would corrupt heap order
             raise ValueError("event time must not be NaN")
         seq = self._seq
-        event = Event(time, priority, seq, action, label)
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        event = Event(time, priority, seq, handler, args, label, self)
+        _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self._cancel)
+        return event
 
     def pop(self) -> Event:
         """Remove and return the earliest live event, marking it ``FIRED``.
@@ -70,7 +77,7 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
+            event = _heappop(heap)[3]
             if event.state is _CANCELLED:
                 continue
             event.state = _FIRED
@@ -82,7 +89,7 @@ class EventQueue:
         """Time of the earliest live event, or None if the queue is empty."""
         heap = self._heap
         while heap and heap[0][3].state is _CANCELLED:
-            heapq.heappop(heap)
+            _heappop(heap)
         if not heap:
             return None
         return heap[0][0]
@@ -90,7 +97,7 @@ class EventQueue:
     def _cancel(self, event: Event) -> bool:
         """Cancel ``event`` if it is still pending; returns True on success.
 
-        Called only through :class:`EventHandle`.  Fired or already-cancelled
+        Called only through :meth:`Event.cancel`.  Fired or already-cancelled
         events are left untouched, so the live count can never underflow.
         """
         if event.state is not _PENDING:

@@ -162,7 +162,8 @@ class AffinityQueueingModel:
         for task in self._tasks:
             self.sim.schedule(
                 self._rng.expovariate(1.0 / self.config.mean_think_s),
-                lambda t=task: self._becomes_ready(t),
+                self._becomes_ready,
+                args=(task,),
             )
         self.sim.run()
         return self.stats
@@ -246,9 +247,7 @@ class AffinityQueueingModel:
         self.stats.total_service_s += service
         self._busy[processor] = task
         self._dispatch_counter[processor] += 1
-        self.sim.schedule(
-            reload + service, lambda: self._completes(task, processor)
-        )
+        self.sim.schedule(reload + service, self._completes, args=(task, processor))
 
     def _completes(self, task: _Task, processor: int) -> None:
         del self._busy[processor]
@@ -260,7 +259,8 @@ class AffinityQueueingModel:
             return
         self.sim.schedule(
             self._rng.expovariate(1.0 / self.config.mean_think_s),
-            lambda: self._becomes_ready(task),
+            self._becomes_ready,
+            args=(task,),
         )
         self._try_dispatch()
 

@@ -100,18 +100,18 @@ def effective_service(
 ) -> float:
     """Service time of ``tid`` on ``worker``, with the warm-data discount.
 
-    Also pushes the thread's group onto the worker's recent-group window,
-    so group reuse within the memory horizon chains its warmth.
+    Under a spec, also pushes the thread's group onto the worker's
+    recent-group window, so group reuse within the memory horizon chains
+    its warmth.  Without one the graph's service time is the answer: the
+    window is only ever read under a spec.
     """
     graph = job.graph
+    spec = job.data_affinity
+    if spec is None:
+        return graph.service_time(tid)
     service = graph.service_time(tid)
     group = graph.data_group(tid)
-    spec = job.data_affinity
-    warm = (
-        spec is not None
-        and group is not None
-        and group in _warm_groups(worker, spec)
-    )
+    warm = group is not None and group in _warm_groups(worker, spec)
     worker.last_data_group = group
     if group is not None:
         recent = worker.recent_data_groups
@@ -120,6 +120,5 @@ def effective_service(
         recent.insert(0, group)
         del recent[8:]
     if warm:
-        assert spec is not None
         return service * (1.0 - spec.warm_discount)
     return service

@@ -224,22 +224,25 @@ def run_scenario(
         job = system.jobs[index]
         system.sim.at(
             when,
-            lambda j=job: system.cancel_job(j),
+            system.cancel_job,
             priority=DISRUPTION_PRIORITY,
-            label=f"cancel:{job.name}",
+            label=("cancel:{}", job.name),
+            args=(job,),
         )
     for outage in instance.outages:
         system.sim.at(
             outage.fail_s,
-            lambda c=outage.cpu: system.fail_processor(c),
+            system.fail_processor,
             priority=DISRUPTION_PRIORITY,
-            label=f"cpu_fail:{outage.cpu}",
+            label=("cpu_fail:{}", outage.cpu),
+            args=(outage.cpu,),
         )
         system.sim.at(
             outage.recover_s,
-            lambda c=outage.cpu: system.recover_processor(c),
+            system.recover_processor,
             priority=DISRUPTION_PRIORITY,
-            label=f"cpu_recover:{outage.cpu}",
+            label=("cpu_recover:{}", outage.cpu),
+            args=(outage.cpu,),
         )
     if heartbeat is not None:
         system.sim.add_trace_hook(heartbeat.engine_hook)

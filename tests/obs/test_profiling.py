@@ -150,6 +150,19 @@ class TestLiveWiring:
         assert spans["engine/run"]["inclusive_s"] >= \
             spans["policy/new_work"]["inclusive_s"]
 
+    def test_profiler_does_not_change_mix5_result(self):
+        plain = run_mix(5, DYN_AFF, seed=0)
+        prof = SpanProfiler()
+        profiled = run_mix(5, DYN_AFF, seed=0, profiler=prof)
+        assert profiled == plain
+        spans = prof.snapshot()["spans"]
+        # Thread completions carry lazily formatted "complete:<job>#<worker>"
+        # labels; their spans still aggregate under the label family.
+        assert spans["engine/complete"]["calls"] > 10_000
+        assert spans["engine/arrive"]["calls"] == len(plain.jobs)
+        assert not any(name.startswith("engine/complete:") for name in spans)
+        assert spans["policy/new_work"]["calls"] > 0
+
     def test_equipartition_profiles_rebalance(self):
         prof = SpanProfiler()
         run_mix(1, EQUIPARTITION, seed=0, profiler=prof)

@@ -112,6 +112,27 @@ class TestEffectiveService:
         effective_service(job, worker, 0)
         assert effective_service(job, worker, 1) == pytest.approx(1.0)
 
+    def test_no_spec_fast_path_returns_graph_service(self):
+        """Without a spec the service time is the graph's, the worker's
+        recent-group window is left alone, and the values equal those of
+        a spec that never discounts."""
+        groups = [5, 5, None, 6, 5, 6, 6]
+
+        def job(spec):
+            graph = ThreadGraph("G")
+            for tid, group in enumerate(groups):
+                graph.add_thread(0.1 * (tid + 1), data_group=group)
+            return Job("G", graph, CURVE, max_workers=2, data_affinity=spec)
+
+        plain, neutral = job(None), job(DataAffinitySpec(warm_discount=0.0))
+        worker, neutral_worker = plain.workers[0], neutral.workers[0]
+        for tid in range(len(groups)):
+            fast = effective_service(plain, worker, tid)
+            assert fast == plain.graph.service_time(tid)
+            assert fast == effective_service(neutral, neutral_worker, tid)
+        assert worker.recent_data_groups == []
+        assert worker.last_data_group is None
+        assert neutral_worker.recent_data_groups == [6, 5]
 
 class TestEndToEnd:
     def run_job(self, spec):
