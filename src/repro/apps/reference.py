@@ -223,6 +223,8 @@ class ReferenceGenerator:
         the same random draws produce the same blocks and leave the
         generator in the same state, for any chunking of the stream.
         """
+        if n < 0:
+            raise ValueError(f"cannot draw a negative number of touches: n={n}")
         return self._engine.next_blocks(n)
 
     def next_blocks_array(self, n: int):
@@ -232,6 +234,8 @@ class ReferenceGenerator:
         its native array directly — the fused generator→cache path.
         Requires numpy regardless of engine (the scalar engine converts).
         """
+        if n < 0:
+            raise ValueError(f"cannot draw a negative number of touches: n={n}")
         return self._engine.next_blocks_array(n)
 
     def reset(self) -> None:

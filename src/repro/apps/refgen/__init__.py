@@ -7,7 +7,8 @@ because after the cache was vectorized the generator's per-touch Python
 loop dominated the full-fidelity experiments:
 
 * ``scalar`` (:mod:`repro.apps.refgen.scalar`) — the ring-buffer touch
-  loop, verbatim.  This engine is the **executable reference
+  loop, with the bounded draws of a stock rng written out in place
+  (:func:`draws_inline`).  This engine is the **executable reference
   specification**: its stream *defines* what every other engine must
   reproduce bit-for-bit (blocks emitted, random words consumed, final
   hot-set state).  No third-party imports; always works.
@@ -87,6 +88,27 @@ class GeneratorBackend(typing.Protocol):
         """
 
 
+def draws_inline(rng: random.Random) -> bool:
+    """True when ``rng``'s bounded draws can be written out in place.
+
+    On such an rng ``randrange(m)`` is ``_randbelow(m)``, and that is
+    CPython's ``_randbelow_with_getrandbits``: draw
+    ``getrandbits(m.bit_length())`` until it falls below ``m``.  The
+    scalar engine then runs that loop itself, against the rng's own
+    ``getrandbits``, and consumes the same words.  A subclass that
+    overrides only ``random()`` gets ``_randbelow_without_getrandbits``
+    from CPython and keeps the call-per-draw loop.
+    """
+    if not isinstance(rng, random.Random):
+        return False
+    cls = type(rng)
+    return (
+        cls.randrange is random.Random.randrange
+        and getattr(cls, "_randbelow", None)
+        is random.Random._randbelow_with_getrandbits
+    )
+
+
 def generator_vectorizable(spec: "ReferenceSpec", rng: random.Random) -> bool:
     """True when the numpy engine can reproduce this stream bit-exactly.
 
@@ -100,7 +122,7 @@ def generator_vectorizable(spec: "ReferenceSpec", rng: random.Random) -> bool:
         return False
     if spec.reuse_window.bit_length() > 32 or spec.data_blocks.bit_length() > 32:
         return False
-    if not isinstance(rng, random.Random):
+    if not draws_inline(rng):
         return False
     cls = type(rng)
     # A subclass overriding any drawing method (random.SystemRandom, a
@@ -109,10 +131,8 @@ def generator_vectorizable(spec: "ReferenceSpec", rng: random.Random) -> bool:
     return (
         cls.random is random.Random.random
         and cls.getrandbits is random.Random.getrandbits
-        and cls.randrange is random.Random.randrange
         and cls.getstate is random.Random.getstate
         and cls.setstate is random.Random.setstate
-        and getattr(cls, "_randbelow", None) is getattr(random.Random, "_randbelow")
     )
 
 

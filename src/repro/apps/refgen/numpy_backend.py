@@ -63,7 +63,7 @@ import typing
 
 import numpy as np
 
-from repro.apps.refgen.scalar import next_blocks_spec
+from repro.apps.refgen.scalar import next_blocks_inline
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.reference import ReferenceGenerator
@@ -295,7 +295,7 @@ class NumpyGeneratorBackend:
         st = self._state
         out = np.empty(n, dtype=np.int64)
         if self._demoted:
-            out[:n] = next_blocks_spec(gen, n)
+            out[:n] = next_blocks_inline(gen, n)
             return out
         filled = 0
         primed = False
@@ -306,7 +306,7 @@ class NumpyGeneratorBackend:
                 if st.valid:
                     st.flush()
                 step = min(n - filled, 256)
-                out[filled:filled + step] = next_blocks_spec(gen, step)
+                out[filled:filled + step] = next_blocks_inline(gen, step)
                 filled += step
                 continue
             if not st.valid:
@@ -314,7 +314,7 @@ class NumpyGeneratorBackend:
             seg = min(n - filled, SEG_MAX)
             if seg < MIN_VEC:
                 st.flush()
-                out[filled:n] = next_blocks_spec(gen, n - filled)
+                out[filled:n] = next_blocks_inline(gen, n - filled)
                 return out
             if not primed:
                 # One extraction covering the whole call; segments then
@@ -331,7 +331,7 @@ class NumpyGeneratorBackend:
                 # scalar specification for good.
                 st.flush()
                 self._demoted = True
-                out[filled:n] = next_blocks_spec(gen, n - filled)
+                out[filled:n] = next_blocks_inline(gen, n - filled)
                 return out
             filled += seg
         return out

@@ -53,45 +53,42 @@ class ScalarBackend:
             raise ValueError(
                 f"block indices must be in [0, 2**40); got range [{lo}, {hi}]"
             )
-        hits = 0
         if self._two_way:
             lru = self._lru
             mru = self._mru
             mask = self._set_mask
+            misses = 0
             # A 2-way LRU set is a shift register: a fresh tag pushes the
             # MRU down to LRU and drops the old LRU (which is EMPTY while
-            # the set is filling, so cold fills need no special case).
+            # the set is filling, so cold fills need no special case).  An
+            # LRU hit shifts the same way without the drop, so counting
+            # misses leaves an MRU hit — the common case — one compare.
             for block in blocks:
                 i = block & mask
                 tag = base + block
                 m = mru[i]
-                if m == tag:
-                    hits += 1
-                    continue
-                l = lru[i]
-                if l == tag:
+                if m != tag:
+                    if lru[i] != tag:
+                        misses += 1
                     lru[i] = m
                     mru[i] = tag
-                    hits += 1
-                    continue
-                lru[i] = m
-                mru[i] = tag
-        else:
-            sets = self._sets
-            n_sets = self.n_sets
-            assoc = self.associativity
-            for block in blocks:
-                s = sets[block % n_sets]
-                tag = base + block
-                if tag in s:
-                    # Re-insertion moves the tag to the MRU end.
-                    del s[tag]
-                    s[tag] = None
-                    hits += 1
-                    continue
-                if len(s) >= assoc:
-                    del s[next(iter(s))]
+            return len(blocks) - misses
+        hits = 0
+        sets = self._sets
+        n_sets = self.n_sets
+        assoc = self.associativity
+        for block in blocks:
+            s = sets[block % n_sets]
+            tag = base + block
+            if tag in s:
+                # Re-insertion moves the tag to the MRU end.
+                del s[tag]
                 s[tag] = None
+                hits += 1
+                continue
+            if len(s) >= assoc:
+                del s[next(iter(s))]
+            s[tag] = None
         return hits
 
     # -- queries -------------------------------------------------------- #

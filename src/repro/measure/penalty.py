@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import array
 import dataclasses
+import math
 import typing
 
 from repro.apps.base import AppSpec
@@ -295,8 +296,8 @@ class PenaltyExperiment:
         partners: typing.Sequence[AppSpec],
     ) -> PenaltyResult:
         """Measure ``P^NA`` and ``P^A`` (one per partner) for ``app`` at Q."""
-        if q_s <= 0:
-            raise ValueError("Q must be positive")
+        if not (math.isfinite(q_s) and q_s > 0):
+            raise ValueError(f"Q must be positive and finite; got Q={q_s!r}")
         n_touches = self._touch_count(app, q_s)
         prof = self.profiler
         profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import typing
 
@@ -315,8 +316,11 @@ class SweepSpec:
                     )
             quanta = self.quanta or TABLE1_QUANTA_S
             object.__setattr__(self, "quanta", tuple(float(q) for q in quanta))
-            if any(q <= 0 for q in self.quanta):
-                raise ValueError("quanta must be positive")
+            for q in self.quanta:
+                if not (math.isfinite(q) and q > 0):
+                    raise ValueError(
+                        f"quanta must be positive and finite; got Q={q!r}"
+                    )
             reduced_machine(SEQUENT_SYMMETRY, self.scale)
 
     # ------------------------------------------------------------------ #

@@ -177,6 +177,18 @@ class TestGenerator:
         assert 0 <= block < 1000
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", ["next_blocks", "next_blocks_array"])
+def test_negative_draw_count_rejected(backend, method):
+    """Both engines refuse n < 0 the same way, and draw nothing."""
+    gen = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+    before = gen._rng.getstate()
+    with pytest.raises(ValueError, match="n=-3"):
+        getattr(gen, method)(-3)
+    assert gen._rng.getstate() == before
+    assert gen.next_blocks(0) == []
+
+
 class _DequeReference:
     """The pre-batching formulation: deque hot set, rng.choice picks.
 

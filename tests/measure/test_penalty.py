@@ -80,6 +80,13 @@ class TestTable1Harness:
         with pytest.raises(ValueError):
             experiment.measure(MVA, 0.0, partners=())
 
+    @pytest.mark.parametrize(
+        "q, shown", [(float("inf"), "inf"), (float("nan"), "nan"), (-0.1, "-0.1")]
+    )
+    def test_non_finite_q_named(self, experiment, q, shown):
+        with pytest.raises(ValueError, match=f"positive and finite; got Q={shown}"):
+            experiment.measure(MVA, q, partners=())
+
     def test_invalid_switch_target(self):
         with pytest.raises(ValueError):
             PenaltyExperiment(n_switches_target=1)

@@ -67,6 +67,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "unknown sweep kind" in err
 
+    @pytest.mark.parametrize("q", ["Infinity", "NaN"])
+    def test_non_finite_quantum_is_a_diagnostic(self, tmp_path, capsys, q):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"name": "t", "kind": "table1", "apps": ["MVA"], '
+            f'"quanta": [{q}], "seeds": [0], "scale": 64}}',
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "run", str(path), "--cache-dir",
+                  str(tmp_path / "cache")])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert "quanta must be positive and finite; got Q=" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_spec_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "run", str(tmp_path / "nope.json")])
